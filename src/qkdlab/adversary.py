@@ -197,12 +197,14 @@ class CoherentAttack:
 
     @classmethod
     def from_bell_amplitudes(cls, amplitudes: np.ndarray) -> "CoherentAttack":
-        """Build from a (4,)*N or (4,)*N + (ancilla,) amplitude tensor."""
+        """Build from a (4,)*N + (ancilla,) amplitude tensor.
+
+        The last axis is always the ancilla, even when it has dimension 4;
+        an attack without an ancilla passes an ancilla axis of length 1.
+        """
         arr = np.asarray(amplitudes, dtype=complex)
-        if arr.ndim == 0:
-            raise ConfigError("amplitude tensor must have at least one pair axis")
-        if all(d == 4 for d in arr.shape):
-            arr = arr[..., None]
+        if arr.ndim < 2:
+            raise ConfigError("amplitude tensor needs pair axes and an ancilla axis")
         n_pairs = arr.ndim - 1
         if any(d != 4 for d in arr.shape[:-1]):
             raise ConfigError(f"pair axes must have dimension 4, got shape {arr.shape}")

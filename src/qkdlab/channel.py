@@ -79,10 +79,6 @@ def sample_pair_labels(f: float, n: int, rng: np.random.Generator) -> np.ndarray
     return rng.choice(4, size=n, p=p)
 
 
-def sample_pair_label(f: float, rng: np.random.Generator) -> int:
-    return int(sample_pair_labels(f, 1, rng)[0])
-
-
 def antiparallel_prob_given_label(labels: np.ndarray, axes: np.ndarray) -> np.ndarray:
     """Exact per-axis antiparallel probability for each (label, axis) row.
 

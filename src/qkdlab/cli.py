@@ -237,7 +237,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         window_coeff=args.c,
         omega=args.omega,
         threshold_mode=args.threshold_mode,
-        seed=args.seed,
     )
     run = run_epr_session if args.protocol == "epr" else run_bb84_session
 

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .bounds import secrecy_lower_bound
 from .rng import stream
@@ -128,16 +127,16 @@ def privacy_amplify(key_bits, output_length: int, hash_seed: int) -> np.ndarray:
     if output_length == 0:
         return np.zeros(0, dtype=np.uint8)
     diagonal = stream(hash_seed).integers(0, 2, size=n + output_length - 1, dtype=np.uint8)
-    # T @ key over GF(2) is a slice of the linear convolution of d with key
-    if n * output_length <= 1 << 22:
-        conv = np.convolve(diagonal.astype(np.int64), key.astype(np.int64))
-    else:
-        conv = fftconvolve(diagonal.astype(float), key.astype(float))
-        rounded = np.rint(conv)
-        if np.abs(conv - rounded).max() > 1e-6:
-            raise RuntimeError("convolution lost integer precision")
-        conv = rounded.astype(np.int64)
-    return (conv[n - 1 : n - 1 + output_length] & 1).astype(np.uint8)
+    # T @ key over GF(2) is entries n-1 .. n+l-2 of the linear convolution
+    # of d with key; a power-of-two circular convolution of length at least
+    # n+l-1 holds them unaliased
+    size = 1 << (n + output_length - 2).bit_length()
+    conv = np.fft.irfft(np.fft.rfft(diagonal, size) * np.fft.rfft(key, size), size)
+    conv = conv[n - 1 : n - 1 + output_length]
+    rounded = np.rint(conv)
+    if np.abs(conv - rounded).max() > 1e-6:
+        raise RuntimeError("convolution lost integer precision")
+    return (rounded.astype(np.int64) & 1).astype(np.uint8)
 
 
 def final_key_length(n_raw: int, eps: float, leaked_bits: int, kprime: float = 10.0) -> int:

@@ -58,7 +58,6 @@ from .qstate import (
     random_axes,
     spin_projectors,
 )
-from .rng import stream
 
 EPR_EVENTS = (
     "prepared",
@@ -93,7 +92,6 @@ class SessionConfig:
     window_coeff: float = 1.0
     omega: float = 0.5
     threshold_mode: str = "two_epsilon"
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_pairs < 1:
@@ -233,8 +231,8 @@ def _check_attack(protocol: str, attack) -> None:
 def run_epr_session(
     config: SessionConfig,
     channel: ChannelModel,
-    attack=None,
-    rng: np.random.Generator | None = None,
+    attack,
+    rng: np.random.Generator,
 ) -> Transcript:
     """Run one entanglement-based session and return its transcript.
 
@@ -245,8 +243,6 @@ def run_epr_session(
     measurement, so it is limited to small N.
     """
     _check_attack("epr", attack)
-    if rng is None:
-        rng = stream(config.seed)
     n, m = config.n_pairs, config.test_size
     events = ["prepared", "delivered"]
 
@@ -335,8 +331,8 @@ def _pauli_flips(labels: np.ndarray, diag_basis: np.ndarray) -> np.ndarray:
 def run_bb84_session(
     config: SessionConfig,
     channel: ChannelModel,
-    attack=None,
-    rng: np.random.Generator | None = None,
+    attack,
+    rng: np.random.Generator,
 ) -> Transcript:
     """Run one prepare-and-measure session and return its transcript.
 
@@ -348,8 +344,6 @@ def run_bb84_session(
     one-sided test.
     """
     _check_attack("bb84", attack)
-    if rng is None:
-        rng = stream(config.seed)
     n = config.n_pairs
     omega = config.omega
 

@@ -59,10 +59,6 @@ class MeasurementAxis:
             raise ValueError("zero vector has no direction")
         return cls(*(v / n))
 
-    @classmethod
-    def random(cls, rng: np.random.Generator) -> "MeasurementAxis":
-        return cls.from_array(random_axes(1, rng)[0])
-
 
 AXIS_Z = MeasurementAxis(0.0, 0.0, 1.0)
 AXIS_X = MeasurementAxis(1.0, 0.0, 0.0)
@@ -78,10 +74,6 @@ def random_axes(n: int, rng: np.random.Generator) -> np.ndarray:
         norms = np.linalg.norm(v, axis=1)
         bad = norms < 1e-12
     return v / norms[:, None]
-
-
-def random_axis(rng: np.random.Generator) -> MeasurementAxis:
-    return MeasurementAxis.from_array(random_axes(1, rng)[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -151,20 +151,20 @@ class TestCoherentAttackConstruction:
 
     def test_text_round_trip(self):
         s = 1 / math.sqrt(2)
-        text = "\n".join(
-            [
-                "# two-component attack",
-                f"00 0 {s} 0",
-                f"10 1 0 {s}",
-            ]
-        )
-        atk = CoherentAttack.from_text(text)
-        assert atk.n_pairs == 2
-        assert atk.ancilla_dim == 2
-        again = CoherentAttack.from_text(atk.to_text())
-        assert np.allclose(
-            again.state.amplitudes, atk.state.amplitudes, atol=1e-12
-        )
+        cases = [
+            # (rows, n_pairs, ancilla_dim)
+            (["# two-component attack", f"00 0 {s} 0", f"10 1 0 {s}"], 2, 2),
+            # an ancilla of dimension 4 is not read as one more pair
+            ([f"00 0 {s} 0", f"12 3 0 {s}"], 2, 4),
+        ]
+        for rows, n_pairs, ancilla_dim in cases:
+            atk = CoherentAttack.from_text("\n".join(rows))
+            assert atk.n_pairs == n_pairs
+            assert atk.ancilla_dim == ancilla_dim
+            again = CoherentAttack.from_text(atk.to_text())
+            assert np.allclose(
+                again.state.amplitudes, atk.state.amplitudes, atol=1e-12
+            )
 
     def test_text_rejects_unnormalized(self):
         with pytest.raises(ConfigError, match="[Uu]nnormalized"):

@@ -10,7 +10,6 @@ from qkdlab.channel import (
     epsilon_from_fidelity,
     fidelity_from_epsilon,
     sample_common_axis_outcomes,
-    sample_pair_label,
     sample_pair_labels,
     werner_state,
 )
@@ -95,7 +94,7 @@ class TestLabelSampling:
 
     def test_scalar_variant(self):
         rng = stream(205)
-        draws = [sample_pair_label(0.5, rng) for _ in range(200)]
+        draws = [int(sample_pair_labels(0.5, 1, rng)[0]) for _ in range(200)]
         assert set(draws) <= {0, 1, 2, 3}
 
 

@@ -3,11 +3,20 @@
 import csv
 import io
 import json
+import os
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qkdlab
 from qkdlab.cli import CSV_COLUMNS, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(argv, capsys):
@@ -221,3 +230,37 @@ class TestEquivalence:
 
     def test_too_few_samples(self, capsys):
         assert run_cli(["equivalence", "--n", "10"], capsys)[0] == 2
+
+
+def readme_shell_steps():
+    """Yield ("file", name, text) and ("run", argv) steps from README sh blocks."""
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S):
+        lines = iter(block.replace("\\\n", " ").splitlines())
+        for line in lines:
+            heredoc = re.fullmatch(r"cat > (\S+) <<'EOF'", line.strip())
+            if heredoc:
+                body = "".join(f"{row}\n" for row in iter(lines.__next__, "EOF"))
+                yield ("file", heredoc.group(1), body)
+            elif line.startswith("qkdlab "):
+                yield ("run", shlex.split(line)[1:])
+
+
+class TestDocumentation:
+    def test_readme_commands_run_as_written(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        ran = []
+        for step in readme_shell_steps():
+            if step[0] == "file":
+                Path(step[1]).write_text(step[2], encoding="utf-8")
+            else:
+                code, _, err = run_cli(step[1], capsys)
+                assert code == 0, f"{' '.join(step[1])}: {err}"
+                ran.append(step[1][0])
+        assert sorted(set(ran)) == ["attack-eval", "bounds", "equivalence", "simulate"]
+
+    def test_cli_import_does_not_load_scipy(self):
+        env = dict(os.environ)
+        src = str(Path(qkdlab.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        probe = "import sys, qkdlab.cli; sys.exit('scipy' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0

@@ -107,9 +107,11 @@ class TestPrivacyAmplify:
         out = privacy_amplify(key, 1000, hash_seed=77)
         assert zlib.crc32(np.packbits(out).tobytes()) == 0x6F3215BB
 
-    def test_fft_path_matches_direct_convolution(self):
-        # n * L above the direct-product cutoff takes the FFT branch
-        n, length = 3000, 1500
+    @pytest.mark.parametrize(
+        "n, length",
+        [(1, 1), (64, 64), (4500, 100), (3000, 1500), (18000, 34), (9000, 9000)],
+    )
+    def test_matches_convolution_reference(self, n, length):
         key = stream(611).integers(0, 2, size=n, dtype=np.uint8)
         out = privacy_amplify(key, length, hash_seed=13)
         diag = stream(13).integers(0, 2, size=n + length - 1, dtype=np.uint8)
