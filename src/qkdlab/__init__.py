@@ -4,144 +4,35 @@ Simulates singlet-pair key agreement with delayed axis announcement,
 its prepare-and-measure counterpart, depolarizing/substitution/coherent
 adversaries, public-test acceptance statistics, dimension-counting
 information bounds, and classical key distillation.
+
+The package root exports the session-level API; everything else is
+imported from its module (``qkdlab.qstate``, ``qkdlab.bounds``, ...).
+One simulation trial, session plus distillation, is
+``qkdlab.cli.simulate_trial``.
 """
 
-from .adversary import (
-    CloningReport,
-    CoherentAttack,
-    InterceptResend,
-    NoAttack,
-    SubstituteAttack,
-    TestPlan,
-    axis_averaged_passing_probability,
-    cloning_report,
-    conditional_ancilla_state,
-    eve_info_bound,
-    intercept_resend,
-    passing_probability,
-    random_signal_pair,
-    signal_preserving_unitary,
-    substitute_pairs,
-    typicality_split,
-)
-from .bounds import (
-    BoundReport,
-    atypical_count_exact,
-    atypical_dim_chain,
-    atypical_threshold,
-    binary_entropy,
-    binomial_entropy_inequality,
-    eve_info_upper,
-    mixture_error_rate,
-    secrecy_lower_bound,
-)
-from .channel import (
-    ChannelModel,
-    antiparallel_prob,
-    epsilon_from_fidelity,
-    fidelity_from_epsilon,
-    sample_pair_labels,
-    werner_state,
-)
+from .adversary import CoherentAttack, InterceptResend, SubstituteAttack
+from .bounds import atypical_dim_chain
+from .channel import ChannelModel
 from .errors import ConfigError, RegimeError, UndersamplingError
-from .postprocess import (
-    DistillationResult,
-    bits_to_hex,
-    distill_key,
-    estimate_error_rate,
-    final_key_length,
-    privacy_amplify,
-    reconcile,
-)
-from .protocol import (
-    EquivalenceReport,
-    SessionConfig,
-    Transcript,
-    acceptance_window,
-    epr_bb84_equivalence_check,
-    run_bb84_session,
-    run_epr_session,
-    select_test_set,
-)
-from .qstate import (
-    DensityMatrix,
-    MeasurementAxis,
-    QuantumState,
-    bell_basis,
-    bell_vectors,
-    density,
-    fidelity,
-    measure_pair,
-    partial_trace,
-    random_axes,
-    reduced_density,
-    von_neumann_entropy,
-)
+from .postprocess import distill_key
+from .protocol import SessionConfig, run_bb84_session, run_epr_session
 from .rng import stream
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport",
     "ChannelModel",
-    "CloningReport",
     "CoherentAttack",
     "ConfigError",
-    "DensityMatrix",
-    "DistillationResult",
-    "EquivalenceReport",
     "InterceptResend",
-    "MeasurementAxis",
-    "NoAttack",
-    "QuantumState",
     "RegimeError",
     "SessionConfig",
     "SubstituteAttack",
-    "TestPlan",
-    "Transcript",
     "UndersamplingError",
-    "acceptance_window",
-    "antiparallel_prob",
-    "atypical_count_exact",
     "atypical_dim_chain",
-    "atypical_threshold",
-    "axis_averaged_passing_probability",
-    "bell_basis",
-    "bell_vectors",
-    "binary_entropy",
-    "binomial_entropy_inequality",
-    "bits_to_hex",
-    "cloning_report",
-    "conditional_ancilla_state",
-    "density",
     "distill_key",
-    "epr_bb84_equivalence_check",
-    "epsilon_from_fidelity",
-    "estimate_error_rate",
-    "eve_info_bound",
-    "eve_info_upper",
-    "fidelity",
-    "fidelity_from_epsilon",
-    "final_key_length",
-    "intercept_resend",
-    "measure_pair",
-    "mixture_error_rate",
-    "partial_trace",
-    "passing_probability",
-    "privacy_amplify",
-    "random_axes",
-    "random_signal_pair",
-    "reconcile",
-    "reduced_density",
     "run_bb84_session",
     "run_epr_session",
-    "sample_pair_labels",
-    "secrecy_lower_bound",
-    "select_test_set",
-    "signal_preserving_unitary",
     "stream",
-    "substitute_pairs",
-    "typicality_split",
-    "von_neumann_entropy",
-    "werner_state",
 ]

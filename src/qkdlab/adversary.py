@@ -32,13 +32,15 @@ distinguishable must disturb at least one signal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import atypical_threshold, binary_entropy
 from .errors import ConfigError
 from .qstate import (
+    AXIS_X,
+    AXIS_Z,
     DensityMatrix,
     MeasurementAxis,
     QuantumState,
@@ -61,16 +63,10 @@ MAX_ANCILLA_DIM = 16
 
 
 @dataclass(frozen=True)
-class NoAttack:
-    kind: str = field(default="none", init=False)
-
-
-@dataclass(frozen=True)
 class InterceptResend:
     """Measure every photon in a basis chosen by ``policy`` and resend."""
 
     policy: str = "random"
-    kind: str = field(default="intercept_resend", init=False)
 
     def __post_init__(self) -> None:
         if self.policy not in ("rectilinear", "diagonal", "random"):
@@ -96,7 +92,6 @@ class SubstituteAttack:
 
     fraction: float
     label_weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
-    kind: str = field(default="substitute", init=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.fraction <= 1.0:
@@ -144,9 +139,9 @@ def intercept_resend(
     if policy == "random":
         policy = "rectilinear" if rng.random() < 0.5 else "diagonal"
     if policy == "rectilinear":
-        axis = MeasurementAxis(0.0, 0.0, 1.0)
+        axis = AXIS_Z
     elif policy == "diagonal":
-        axis = MeasurementAxis(1.0, 0.0, 0.0)
+        axis = AXIS_X
     else:
         raise ConfigError(f"unknown intercept policy {policy!r}")
     bit, post = measure_qubit(photon, 0, axis, rng)
@@ -509,20 +504,19 @@ def signal_preserving_unitary(
     u2: np.ndarray,
     ancilla_dim: int,
     rng: np.random.Generator,
-    probe: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """A random unitary on signal x probe that leaves both signals intact.
 
-    Maps |u_i>|probe> to |u_i>|phi> for a random common probe output phi;
-    unitarity fixes the probe outputs to be identical once both signals
-    are preserved, and the rest of the map is completed Haar-randomly.
+    Maps |u_i>|probe> to |u_i>|phi> for a random probe input and a random
+    common probe output phi; unitarity fixes the probe outputs to be
+    identical once both signals are preserved, and the rest of the map is
+    completed Haar-randomly.
     Returns (U, probe).
     """
     if ancilla_dim < 2:
         raise ValueError("probe needs dimension >= 2")
-    if probe is None:
-        probe = rng.normal(size=ancilla_dim) + 1j * rng.normal(size=ancilla_dim)
-        probe = probe / np.linalg.norm(probe)
+    probe = rng.normal(size=ancilla_dim) + 1j * rng.normal(size=ancilla_dim)
+    probe = probe / np.linalg.norm(probe)
     phi = rng.normal(size=ancilla_dim) + 1j * rng.normal(size=ancilla_dim)
     phi = phi / np.linalg.norm(phi)
     x1, x2 = np.kron(u1, probe), np.kron(u2, probe)

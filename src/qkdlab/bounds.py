@@ -24,10 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import channel
 from .errors import RegimeError
+
+CHAIN_ATOL = 1e-9  # float slack of the log2 links of the bound chain
 
 
 def binary_entropy(x: float) -> float:
@@ -123,12 +122,12 @@ class BoundReport:
     implied_k: float
     margin_vs_full_space: float = field(default=0.0)
 
-    def chain_holds(self, atol: float = 1e-9) -> bool:
+    def chain_holds(self) -> bool:
         return (
             self.exact_count <= self.l1 <= self.l2
-            and self.log2_l2 <= self.log2_l3 + atol
-            and self.log2_l3 <= self.log2_l4 + atol
-            and self.log2_l4 <= self.log2_l5 + atol
+            and self.log2_l2 <= self.log2_l3 + CHAIN_ATOL
+            and self.log2_l3 <= self.log2_l4 + CHAIN_ATOL
+            and self.log2_l4 <= self.log2_l5 + CHAIN_ATOL
         )
 
     def to_dict(self) -> dict:
@@ -212,83 +211,3 @@ def secrecy_lower_bound(eps: float, kprime: float = 10.0) -> float:
     if eps == 0.0:
         return 1.0
     return max(0.0, 1.0 + kprime * eps * math.log2(eps))
-
-
-@dataclass(frozen=True)
-class MixtureReport:
-    """Observed vs expected error rate for a two-rate tensor mixture."""
-
-    rate_x: float
-    rate_y: float
-    weight_x: float
-    weight_y: float
-    n_samples: int
-    observed_rate: float
-    expected_rate: float
-    three_sigma: float
-    bound_at_mixture: float
-    mixed_bound_value: float
-
-    @property
-    def within_three_sigma(self) -> bool:
-        return abs(self.observed_rate - self.expected_rate) <= self.three_sigma
-
-
-def mixture_error_rate(
-    rate_x: float,
-    rate_y: float,
-    weight_x: float,
-    weight_y: float,
-    n_samples: int,
-    rng: np.random.Generator,
-    kprime: float = 10.0,
-) -> MixtureReport:
-    """Simulate a block mixture of two channel strategies and report rates.
-
-    A fraction ``weight_x`` of positions runs at error rate ``rate_x`` and
-    the rest at ``rate_y`` (a tensor product of the two strategies).  Each
-    block is realized as a Werner channel measured along random common
-    axes, so the observed rate checks a*x + b*y against honest sampling.
-    The report also evaluates the secrecy bound at the mixed rate and the
-    weight-mixed bound values, for convexity inspection (a mixture never
-    hides errors: the rate is exactly linear, while the bound values are
-    reported without asserting convexity).
-    """
-    if abs(weight_x + weight_y - 1.0) > 1e-9 or weight_x < 0.0 or weight_y < 0.0:
-        raise ValueError("weights must be nonnegative and sum to 1")
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
-    from .qstate import random_axes  # local import to keep module deps flat
-
-    n_x = int(round(weight_x * n_samples))
-    blocks = [(rate_x, n_x), (rate_y, n_samples - n_x)]
-    errors = 0
-    for rate, count in blocks:
-        if count == 0:
-            continue
-        f = channel.fidelity_from_epsilon(rate)
-        labels = channel.sample_pair_labels(f, count, rng)
-        axes = random_axes(count, rng)
-        a, b = channel.sample_common_axis_outcomes(labels, axes, rng)
-        errors += int((a == b).sum())
-    expected = (n_x * rate_x + (n_samples - n_x) * rate_y) / n_samples
-    sigma = math.sqrt(max(expected * (1.0 - expected), 1e-12) / n_samples)
-
-    def bound(r: float) -> float:
-        try:
-            return secrecy_lower_bound(r, kprime)
-        except RegimeError:
-            return 0.0
-
-    return MixtureReport(
-        rate_x=rate_x,
-        rate_y=rate_y,
-        weight_x=weight_x,
-        weight_y=weight_y,
-        n_samples=n_samples,
-        observed_rate=errors / n_samples,
-        expected_rate=expected,
-        three_sigma=3.0 * sigma,
-        bound_at_mixture=bound(expected),
-        mixed_bound_value=weight_x * bound(rate_x) + weight_y * bound(rate_y),
-    )

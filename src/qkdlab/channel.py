@@ -128,11 +128,5 @@ class ChannelModel:
     def epsilon(self) -> float:
         return epsilon_from_fidelity(self.fidelity)
 
-    def werner_state(self) -> DensityMatrix:
-        return werner_state(self.fidelity)
-
-    def antiparallel_prob(self) -> float:
-        return antiparallel_prob(self.fidelity)
-
     def sample_labels(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return sample_pair_labels(self.fidelity, n, rng)

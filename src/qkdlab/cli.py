@@ -26,7 +26,6 @@ import numpy as np
 from .adversary import (
     CoherentAttack,
     InterceptResend,
-    NoAttack,
     SubstituteAttack,
     TestPlan,
     axis_averaged_passing_probability,
@@ -34,11 +33,12 @@ from .adversary import (
     eve_info_bound,
 )
 from .bounds import RegimeError, atypical_dim_chain, eve_info_upper, secrecy_lower_bound
-from .channel import ChannelModel, fidelity_from_epsilon
+from .channel import ChannelModel
 from .errors import ConfigError
-from .postprocess import distill_key
+from .postprocess import DistillationResult, distill_key
 from .protocol import (
     SessionConfig,
+    Transcript,
     epr_bb84_equivalence_check,
     run_bb84_session,
     run_epr_session,
@@ -58,28 +58,6 @@ CSV_COLUMNS = (
     "eve_holevo_bits",
 )
 
-SCENARIO_FIELDS = {
-    "name",
-    "protocol",
-    "n",
-    "m",
-    "fidelity",
-    "epsilon",
-    "omega",
-    "attack",
-    "attack_file",
-    "trials",
-    "seed",
-    "c",
-    "threshold_mode",
-    "kprime",
-    "theta",
-    "out",
-    "summary",
-    "transcript",
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qkdlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -98,9 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--c", type=float, default=1.0, help="window width coefficient")
     sim.add_argument("--threshold-mode", dest="threshold_mode",
-                     choices=("window", "two_epsilon"), default="two_epsilon")
+                     choices=("window", "two_epsilon"), default=None,
+                     help="default: two_epsilon when epsilon > 0, else window")
     sim.add_argument("--kprime", type=float, default=10.0)
-    sim.add_argument("--theta", type=float, default=0.0)
     sim.add_argument("--out", default=None, help="per-trial CSV path (default stdout)")
     sim.add_argument("--summary", default=None, help="summary JSON path")
     sim.add_argument("--transcript", default=None, help="JSONL transcript of trial 0")
@@ -152,8 +130,9 @@ def _apply_scenario(args: argparse.Namespace) -> None:
         raise ConfigError(f"scenario file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("scenario file must hold a JSON object")
+    fields = set(vars(args)) - {"command", "func", "scenario"} | {"name"}
     for key, value in data.items():
-        if key not in SCENARIO_FIELDS:
+        if key not in fields:
             raise ConfigError(f"unknown scenario field {key!r}")
         if key != "name":
             setattr(args, key, value)
@@ -169,38 +148,20 @@ def _load_attack_file(path) -> CoherentAttack:
 
 
 def _parse_attack(spec, attack_file):
-    if isinstance(spec, dict):
-        kind = spec.get("kind", "none")
-        if kind == "none":
-            return NoAttack()
-        if kind == "intercept_resend":
-            return InterceptResend(policy=spec.get("policy", "random"))
-        if kind == "substitute":
-            if "fraction" not in spec:
-                raise ConfigError("substitute attack needs a 'fraction' field")
-            weights = spec.get("label_weights", (1 / 3, 1 / 3, 1 / 3))
-            return SubstituteAttack(fraction=float(spec["fraction"]),
-                                    label_weights=tuple(weights))
-        if kind == "coherent":
-            path = spec.get("file", attack_file)
-            if not path:
-                raise ConfigError("coherent attack needs an attack file")
-            return _load_attack_file(path)
-        raise ConfigError(f"unknown attack kind {kind!r}")
+    """The attack named by an ``--attack`` string; None for "none"."""
     spec = str(spec)
+    kind, sep, arg = spec.partition(":")
     if spec == "none":
-        return NoAttack()
-    if spec.startswith("intercept_resend"):
-        _, _, policy = spec.partition(":")
-        return InterceptResend(policy=policy or "random")
-    if spec.startswith("substitute"):
-        _, sep, fraction = spec.partition(":")
+        return None
+    if kind == "intercept_resend":
+        return InterceptResend(policy=arg or "random")
+    if kind == "substitute":
         if not sep:
             raise ConfigError("substitute attack needs a fraction, e.g. substitute:0.02")
         try:
-            return SubstituteAttack(fraction=float(fraction))
+            return SubstituteAttack(fraction=float(arg))
         except ValueError as exc:
-            raise ConfigError(f"bad substitution fraction {fraction!r}") from exc
+            raise ConfigError(f"bad substitution fraction {arg!r}") from exc
     if spec == "coherent":
         if not attack_file:
             raise ConfigError("--attack coherent requires --attack-file")
@@ -208,12 +169,15 @@ def _parse_attack(spec, attack_file):
     raise ConfigError(f"unknown attack {spec!r}")
 
 
-def _resolve_channel(fidelity, epsilon) -> ChannelModel:
+def _resolve_channel(fidelity, epsilon) -> tuple[ChannelModel, float]:
+    """The channel and its error rate: ``epsilon`` as given, or else the
+    rate the fidelity implies (a noiseless channel when neither is given)."""
     if fidelity is not None and epsilon is not None:
         raise ConfigError("give either fidelity or epsilon, not both")
     if epsilon is not None:
-        return ChannelModel(fidelity_from_epsilon(float(epsilon)))
-    return ChannelModel(1.0 if fidelity is None else float(fidelity))
+        return ChannelModel.from_epsilon(float(epsilon)), float(epsilon)
+    chan = ChannelModel(1.0 if fidelity is None else float(fidelity))
+    return chan, chan.epsilon
 
 
 def _fmt(value) -> str:
@@ -224,45 +188,68 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def simulate_trial(
+    protocol: str,
+    config: SessionConfig,
+    chan: ChannelModel,
+    attack,
+    seed: int,
+    trial: int,
+    kprime: float,
+) -> tuple[Transcript, DistillationResult | None]:
+    """Run trial ``trial`` of a simulation; return (transcript, distillation).
+
+    The session draws from ``stream(seed, trial)``.  Only a session that
+    was accepted, kept a non-empty sifted key and estimated an error rate
+    below 1/4 (the secrecy bound's regime) is distilled, from
+    ``stream(seed, trial, 1)``; otherwise the distillation is None.
+    """
+    if protocol not in ("epr", "bb84"):
+        raise ConfigError(f"unknown protocol {protocol!r}")
+    run = run_epr_session if protocol == "epr" else run_bb84_session
+    transcript = run(config, chan, attack, stream(seed, trial))
+    if not (
+        transcript.accepted
+        and transcript.sifted_key_a.size > 0
+        and transcript.error_rate_estimate < 0.25
+    ):
+        return transcript, None
+    result = distill_key(
+        transcript.sifted_key_a,
+        transcript.sifted_key_b,
+        transcript.error_rate_estimate,
+        stream(seed, trial, 1),
+        kprime=kprime,
+    )
+    return transcript, result
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     _apply_scenario(args)
     if args.trials < 1:
         raise ConfigError(f"trials must be positive, got {args.trials}")
-    chan = _resolve_channel(args.fidelity, args.epsilon)
+    chan, eps = _resolve_channel(args.fidelity, args.epsilon)
     attack = _parse_attack(args.attack, args.attack_file)
+    threshold_mode = args.threshold_mode or ("two_epsilon" if eps > 0.0 else "window")
     config = SessionConfig(
         n_pairs=args.n,
         test_size=args.m,
-        expected_error=chan.epsilon,
+        expected_error=eps,
         window_coeff=args.c,
         omega=args.omega,
-        threshold_mode=args.threshold_mode,
+        threshold_mode=threshold_mode,
     )
-    run = run_epr_session if args.protocol == "epr" else run_bb84_session
 
     rows = []
     sifted_fractions = []
     first_transcript = None
     for trial in range(args.trials):
-        transcript = run(config, chan, attack, stream(args.seed, trial))
+        transcript, result = simulate_trial(
+            args.protocol, config, chan, attack, args.seed, trial, args.kprime
+        )
         if trial == 0:
             first_transcript = transcript
         sifted_fractions.append(transcript.sifted_fraction)
-        final_len = 0
-        leaked = 0
-        if (
-            transcript.accepted
-            and transcript.sifted_key_a.size > 0
-            and transcript.error_rate_estimate < 0.25
-        ):
-            result = distill_key(
-                transcript.sifted_key_a,
-                transcript.sifted_key_b,
-                transcript.error_rate_estimate,
-                stream(args.seed, trial, 1),
-                kprime=args.kprime,
-            )
-            final_len, leaked = result.final_length, result.leaked_bits
         rows.append(
             {
                 "trial": trial,
@@ -271,8 +258,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 "m": transcript.test_size,
                 "qber_estimate": transcript.error_rate_estimate,
                 "sifted_len": int(transcript.sifted_key_a.size),
-                "final_len": final_len,
-                "leaked_bits": leaked,
+                "final_len": 0 if result is None else result.final_length,
+                "leaked_bits": 0 if result is None else result.leaked_bits,
                 "eve_holevo_bits": transcript.eve_holevo_bits,
             }
         )
@@ -296,10 +283,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "n": args.n,
             "m": args.m,
             "fidelity": chan.fidelity,
-            "epsilon_expected": chan.epsilon,
+            "epsilon_expected": eps,
             "omega": args.omega,
-            "threshold_mode": args.threshold_mode,
-            "attack": args.attack if isinstance(args.attack, str) else dict(args.attack),
+            "threshold_mode": threshold_mode,
+            "attack": args.attack,
             "seed": args.seed,
             "kprime": args.kprime,
             "accept_rate": len(accepted) / args.trials,

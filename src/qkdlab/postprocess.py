@@ -19,6 +19,8 @@ import numpy as np
 from .bounds import secrecy_lower_bound
 from .rng import stream
 
+MAX_PASSES = 64  # upper limit on reconciliation passes
+
 
 @dataclass(frozen=True)
 class ErrorRateEstimate:
@@ -54,7 +56,6 @@ def reconcile(
     key_b,
     rng: np.random.Generator,
     qber_hint: float | None = None,
-    max_passes: int = 64,
 ) -> tuple[np.ndarray, int]:
     """Correct ``key_b`` toward ``key_a`` by shuffled block-parity bisection.
 
@@ -79,7 +80,7 @@ def reconcile(
     block_cap = max(block, n // 16)
     leaked = 0
     clean = 0
-    for _ in range(max_passes):
+    for _ in range(MAX_PASSES):
         perm = rng.permutation(n)
         pa, pb = a[perm], b[perm]
         starts = np.arange(0, n, block)

@@ -31,7 +31,6 @@ the session to full state-vector measurement.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -41,7 +40,6 @@ from . import channel as channel_mod
 from .adversary import (
     CoherentAttack,
     InterceptResend,
-    NoAttack,
     SubstituteAttack,
     TestPlan,
     conditional_ancilla_state,
@@ -51,12 +49,14 @@ from .adversary import (
 from .channel import ChannelModel
 from .errors import ConfigError, UndersamplingError
 from .qstate import (
+    AXIS_X,
+    AXIS_Z,
     MeasurementAxis,
-    apply_operator,
+    QuantumState,
     bell_vectors,
     measure_pair,
+    pair_branches,
     random_axes,
-    spin_projectors,
 )
 
 EPR_EVENTS = (
@@ -150,6 +150,11 @@ def select_test_set(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     return np.sort(rng.choice(n, size=m, replace=False))
 
 
+TRANSCRIPT_BLOCK = 1024  # positions formatted per write by Transcript.write_jsonl
+_JSON_BOOL = ("false", "true")
+_JSON_BASIS = ('"R"', '"D"')  # rectilinear 0, diagonal 1
+
+
 @dataclass(eq=False)
 class Transcript:
     """Everything a session produced, in per-position arrays.
@@ -192,32 +197,41 @@ class Transcript:
     def sifted_fraction(self) -> float:
         return float(self.sifted.mean())
 
-    def iter_records(self):
-        """Yield one JSON-ready dict per position."""
-        for i in range(self.n):
-            if self.axes is not None:
-                basis_a = basis_b = [float(x) for x in self.axes[i]]
-            else:
-                basis_a = "D" if self.basis_a[i] else "R"
-                basis_b = "D" if self.basis_b[i] else "R"
-            yield {
-                "index": i,
-                "basis_a": basis_a,
-                "basis_b": basis_b,
-                "outcome_a": int(self.outcome_a[i]),
-                "outcome_b": int(self.outcome_b[i]),
-                "in_test": bool(self.in_test[i]),
-                "sifted": bool(self.sifted[i]),
-            }
-
     def write_jsonl(self, path) -> None:
+        """Write one JSON object per position, keys sorted, floats by ``repr``.
+
+        Lines are formatted from column slices of ``TRANSCRIPT_BLOCK``
+        positions at a time, so a long session is never formatted whole.
+        """
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for record in self.iter_records():
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+            for lo in range(0, self.n, TRANSCRIPT_BLOCK):
+                block = slice(lo, lo + TRANSCRIPT_BLOCK)
+                if self.axes is not None:
+                    basis_a = basis_b = [
+                        "[" + ", ".join(map(repr, v)) + "]" for v in self.axes[block].tolist()
+                    ]
+                else:
+                    basis_a = [_JSON_BASIS[x] for x in self.basis_a[block].tolist()]
+                    basis_b = [_JSON_BASIS[x] for x in self.basis_b[block].tolist()]
+                rows = zip(
+                    range(lo, lo + len(basis_a)),
+                    basis_a,
+                    basis_b,
+                    self.in_test[block].tolist(),
+                    self.outcome_a[block].tolist(),
+                    self.outcome_b[block].tolist(),
+                    self.sifted[block].tolist(),
+                )
+                fh.write("".join(
+                    f'{{"basis_a": {ba}, "basis_b": {bb}, "in_test": {_JSON_BOOL[t]}, '
+                    f'"index": {i}, "outcome_a": {a}, "outcome_b": {b}, '
+                    f'"sifted": {_JSON_BOOL[s]}}}\n'
+                    for i, ba, bb, t, a, b, s in rows
+                ))
 
 
 def _check_attack(protocol: str, attack) -> None:
-    if attack is None or isinstance(attack, NoAttack):
+    if attack is None:
         return
     if protocol == "epr" and isinstance(attack, (SubstituteAttack, CoherentAttack)):
         return
@@ -434,29 +448,6 @@ def run_bb84_session(
 # equivalence of the two constructions
 
 
-_BASIS_AXES = (MeasurementAxis(0.0, 0.0, 1.0), MeasurementAxis(1.0, 0.0, 0.0))
-
-
-def _collapse_distribution(
-    pair_vec: np.ndarray, axis_first: MeasurementAxis, axis_second: MeasurementAxis, order: str
-) -> np.ndarray:
-    """Exact joint outcome distribution of sequential pair measurement.
-
-    ``order`` is "ab" (Alice's qubit first) or "ba"; returns p[a, b].
-    """
-    first_qubit, second_qubit = (0, 1) if order == "ab" else (1, 0)
-    proj_first = spin_projectors(axis_first)
-    proj_second = spin_projectors(axis_second)
-    p = np.zeros((2, 2))
-    for o1 in (0, 1):
-        v1 = apply_operator(pair_vec, (2, 2), proj_first[o1], (first_qubit,))
-        for o2 in (0, 1):
-            v2 = apply_operator(v1, (2, 2), proj_second[o2], (second_qubit,))
-            outcome = (o1, o2) if order == "ab" else (o2, o1)
-            p[outcome] = np.vdot(v2, v2).real
-    return p
-
-
 @dataclass(frozen=True)
 class EquivalenceReport:
     """Per-cell outcome counts of the protocol constructions under test."""
@@ -490,49 +481,43 @@ def epr_bb84_equivalence_check(
     sampled ``n_samples`` times each: direct photon preparation through a
     Pauli channel, and shared pairs measured with Alice first or with Bob
     first (Alice measuring her half before transmission versus after
-    Bob's acknowledgment).  Counts land in (basis_a, basis_b, bit_a,
-    bit_b) cells; the report's max_z is the largest two-proportion z-score
-    across cells and construction pairs.
+    Bob's acknowledgment).  The two measurements on a pair commute, so
+    both pair constructions draw from one exact distribution (see
+    :func:`qkdlab.qstate.pair_branches`).  Counts land in (basis_a,
+    basis_b, bit_a, bit_b) cells; the report's max_z is the largest
+    two-proportion z-score across cells and construction pairs.
     """
     if n_samples < 1000:
         raise ConfigError("equivalence comparison needs at least 1000 samples")
-    bell = bell_vectors()
+    pairs = [QuantumState(v, (2, 2)) for v in bell_vectors()]
+    axes = (AXIS_Z, AXIS_X)
+    # p[label, basis_a, basis_b, bit_a, bit_b] of each construction
+    direct = np.zeros((4, 2, 2, 2, 2))
+    paired = np.zeros((4, 2, 2, 2, 2))
+    for k, i, j in np.ndindex(4, 2, 2):
+        # bit_a uniform; flip per Pauli label; cross-basis uniform
+        flips = (k in (2, 3)) if i == 0 else (k in (1, 2))
+        for x in (0, 1):
+            if i == j:
+                direct[k, i, j, x, x ^ int(flips)] = 0.5
+            else:
+                direct[k, i, j, x] = 0.25
+        # Alice's bit is her outcome, Bob's bit flips his
+        paired[k, i, j] = pair_branches(pairs[k], 0, axes[i], axes[j])[1][:, ::-1]
+    dists = {"direct": direct, "epr_alice_first": paired, "epr_bob_first": paired}
+
     p_label = np.array([fidelity] + [(1.0 - fidelity) / 3.0] * 3)
     p_basis = np.array([1.0 - omega, omega])
-
     group_p = np.einsum("k,i,j->kij", p_label, p_basis, p_basis).reshape(-1)
-    names = ("direct", "epr_alice_first", "epr_bob_first")
+    names = tuple(dists)
     counts = {name: np.zeros((2, 2, 2, 2), dtype=np.int64) for name in names}
-
     for name in names:
         group_counts = rng.multinomial(n_samples, group_p).reshape(4, 2, 2)
-        for k in range(4):
-            for i in range(2):
-                for j in range(2):
-                    c = int(group_counts[k, i, j])
-                    if c == 0:
-                        continue
-                    dist = np.zeros((2, 2))
-                    if name == "direct":
-                        # bit_a uniform; flip per Pauli label; cross-basis uniform
-                        flips = (k in (2, 3)) if i == 0 else (k in (1, 2))
-                        for x in (0, 1):
-                            if i == j:
-                                dist[x, x ^ int(flips)] = 0.5
-                            else:
-                                dist[x, 0] = dist[x, 1] = 0.25
-                    else:
-                        order = "ab" if name == "epr_alice_first" else "ba"
-                        axis_a, axis_b = _BASIS_AXES[i], _BASIS_AXES[j]
-                        first_axis = axis_a if order == "ab" else axis_b
-                        second_axis = axis_b if order == "ab" else axis_a
-                        p_ab = _collapse_distribution(bell[k], first_axis, second_axis, order)
-                        # Alice's bit is her outcome, Bob's bit flips his
-                        for a in (0, 1):
-                            for b in (0, 1):
-                                dist[a, 1 - b] += p_ab[a, b]
-                    sample = rng.multinomial(c, dist.reshape(-1)).reshape(2, 2)
-                    counts[name][i, j] += sample
+        for k, i, j in np.ndindex(4, 2, 2):
+            c = int(group_counts[k, i, j])
+            if c:
+                dist = dists[name][k, i, j].reshape(-1)
+                counts[name][i, j] += rng.multinomial(c, dist).reshape(2, 2)
 
     max_z = 0.0
     for a_idx in range(len(names)):

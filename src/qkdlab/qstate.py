@@ -228,6 +228,36 @@ def measure_qubit(
     return outcome, QuantumState(v / norm, state.dims)
 
 
+def pair_branches(
+    state: QuantumState,
+    pair_index: int,
+    axis_a: MeasurementAxis,
+    axis_b: MeasurementAxis,
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Project a pair onto each joint outcome, Alice's qubit along ``axis_a``
+    and Bob's along ``axis_b``.
+
+    Returns (branches, p): ``branches[2 * a + b]`` is the unnormalized
+    state after outcomes (a, b) and ``p[a, b]`` its Born probability.  The two
+    single-qubit measurements commute, so the order in which they are
+    applied does not change ``p``.
+    """
+    qa, qb = 2 * pair_index, 2 * pair_index + 1
+    if qb >= len(state.dims) or state.dims[qa] != 2 or state.dims[qb] != 2:
+        raise ValueError(f"pair {pair_index} does not address two qubit subsystems")
+    proj_a = spin_projectors(axis_a)
+    proj_b = spin_projectors(axis_b)
+    branches = []
+    probs = np.empty((2, 2))
+    for a in (0, 1):
+        va = apply_operator(state.amplitudes, state.dims, proj_a[a], (qa,))
+        for b in (0, 1):
+            v = apply_operator(va, state.dims, proj_b[b], (qb,))
+            branches.append(v)
+            probs[a, b] = np.vdot(v, v).real
+    return branches, probs
+
+
 def measure_pair(
     state: QuantumState,
     pair_index: int,
@@ -242,19 +272,8 @@ def measure_pair(
     outcome is sampled from the Born distribution of the commuting pair of
     single-qubit measurements.
     """
-    qa, qb = 2 * pair_index, 2 * pair_index + 1
-    if qb >= len(state.dims) or state.dims[qa] != 2 or state.dims[qb] != 2:
-        raise ValueError(f"pair {pair_index} does not address two qubit subsystems")
-    proj_a = spin_projectors(axis_a)
-    proj_b = spin_projectors(axis_b)
-    branches = []
-    probs = np.empty(4)
-    for a in (0, 1):
-        va = apply_operator(state.amplitudes, state.dims, proj_a[a], (qa,))
-        for b in (0, 1):
-            v = apply_operator(va, state.dims, proj_b[b], (qb,))
-            branches.append(v)
-            probs[2 * a + b] = np.vdot(v, v).real
+    branches, probs = pair_branches(state, pair_index, axis_a, axis_b)
+    probs = probs.reshape(-1)
     total = probs.sum()
     if abs(total - 1.0) > 1e-6:
         raise RuntimeError(f"outcome probabilities sum to {total}, expected 1")

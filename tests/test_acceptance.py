@@ -41,8 +41,8 @@ from qkdlab.channel import (
     sample_common_axis_outcomes,
     sample_pair_labels,
 )
-from qkdlab.cli import main
-from qkdlab.postprocess import distill_key, final_key_length
+from qkdlab.cli import main, simulate_trial
+from qkdlab.postprocess import final_key_length
 from qkdlab.protocol import SessionConfig, run_bb84_session, run_epr_session
 from qkdlab.qstate import (
     MeasurementAxis,
@@ -277,10 +277,9 @@ def test_c11_end_to_end_key_agreement():
     chan = ChannelModel.from_epsilon(0.02)
     agreed = 0
     for t in range(100):
-        tr = run_epr_session(cfg, chan, None, stream(909, t))
+        tr, res = simulate_trial("epr", cfg, chan, None, 909, t, 5.0)
         assert tr.verdict == "accepted"
-        res = distill_key(tr.sifted_key_a, tr.sifted_key_b,
-                          tr.error_rate_estimate, stream(909, t, 1), kprime=5.0)
+        assert res is not None
         assert res.final_length == final_key_length(
             tr.sifted_key_a.size, tr.error_rate_estimate, res.leaked_bits, 5.0)
         assert res.final_length > 0

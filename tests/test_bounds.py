@@ -1,6 +1,7 @@
 """Tests for entropy/counting bounds and the secrecy-rate floor."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,10 +13,15 @@ from qkdlab.bounds import (
     binary_entropy,
     binomial_entropy_inequality,
     eve_info_upper,
-    mixture_error_rate,
     secrecy_lower_bound,
 )
+from qkdlab.channel import (
+    fidelity_from_epsilon,
+    sample_common_axis_outcomes,
+    sample_pair_labels,
+)
 from qkdlab.errors import RegimeError
+from qkdlab.qstate import random_axes
 from qkdlab.rng import stream
 
 
@@ -176,6 +182,84 @@ class TestSecrecyLowerBound:
             secrecy_lower_bound(0.25)
         with pytest.raises(RegimeError):
             secrecy_lower_bound(-0.01)
+
+
+@dataclass(frozen=True)
+class MixtureReport:
+    """Observed vs expected error rate for a two-rate tensor mixture."""
+
+    rate_x: float
+    rate_y: float
+    weight_x: float
+    weight_y: float
+    n_samples: int
+    observed_rate: float
+    expected_rate: float
+    three_sigma: float
+    bound_at_mixture: float
+    mixed_bound_value: float
+
+    @property
+    def within_three_sigma(self) -> bool:
+        return abs(self.observed_rate - self.expected_rate) <= self.three_sigma
+
+
+def mixture_error_rate(
+    rate_x: float,
+    rate_y: float,
+    weight_x: float,
+    weight_y: float,
+    n_samples: int,
+    rng: np.random.Generator,
+    kprime: float = 10.0,
+) -> MixtureReport:
+    """Simulate a block mixture of two channel strategies and report rates.
+
+    A fraction ``weight_x`` of positions runs at error rate ``rate_x`` and
+    the rest at ``rate_y`` (a tensor product of the two strategies).  Each
+    block is realized as a Werner channel measured along random common
+    axes, so the observed rate checks a*x + b*y against honest sampling.
+    The report also evaluates the secrecy bound at the mixed rate and the
+    weight-mixed bound values, for convexity inspection (a mixture never
+    hides errors: the rate is exactly linear, while the bound values are
+    reported without asserting convexity).
+    """
+    if abs(weight_x + weight_y - 1.0) > 1e-9 or weight_x < 0.0 or weight_y < 0.0:
+        raise ValueError("weights must be nonnegative and sum to 1")
+    if n_samples < 1:
+        raise ValueError("n_samples must be positive")
+    n_x = int(round(weight_x * n_samples))
+    blocks = [(rate_x, n_x), (rate_y, n_samples - n_x)]
+    errors = 0
+    for rate, count in blocks:
+        if count == 0:
+            continue
+        f = fidelity_from_epsilon(rate)
+        labels = sample_pair_labels(f, count, rng)
+        axes = random_axes(count, rng)
+        a, b = sample_common_axis_outcomes(labels, axes, rng)
+        errors += int((a == b).sum())
+    expected = (n_x * rate_x + (n_samples - n_x) * rate_y) / n_samples
+    sigma = math.sqrt(max(expected * (1.0 - expected), 1e-12) / n_samples)
+
+    def bound(r: float) -> float:
+        try:
+            return secrecy_lower_bound(r, kprime)
+        except RegimeError:
+            return 0.0
+
+    return MixtureReport(
+        rate_x=rate_x,
+        rate_y=rate_y,
+        weight_x=weight_x,
+        weight_y=weight_y,
+        n_samples=n_samples,
+        observed_rate=errors / n_samples,
+        expected_rate=expected,
+        three_sigma=3.0 * sigma,
+        bound_at_mixture=bound(expected),
+        mixed_bound_value=weight_x * bound(rate_x) + weight_y * bound(rate_y),
+    )
 
 
 class TestMixture:

@@ -69,7 +69,7 @@ class TestFidelityDictionary:
         chan = ChannelModel.from_epsilon(0.02)
         assert chan.fidelity == pytest.approx(0.97)
         assert chan.epsilon == pytest.approx(0.02)
-        assert chan.antiparallel_prob() == pytest.approx(0.98)
+        assert antiparallel_prob(chan.fidelity) == pytest.approx(0.98)
 
 
 class TestLabelSampling:

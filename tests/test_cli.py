@@ -1,6 +1,10 @@
 """Command-line interface tests: exit codes, file formats, determinism."""
 
 import csv
+import hashlib
+import importlib
+import importlib.util
+import inspect
 import io
 import json
 import os
@@ -16,7 +20,8 @@ import pytest
 import qkdlab
 from qkdlab.cli import CSV_COLUMNS, main
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def run_cli(argv, capsys):
@@ -40,6 +45,12 @@ class TestExitCodes:
         assert code == 0
         assert out.startswith(",".join(CSV_COLUMNS))
 
+    def test_bare_simulate(self, capsys):
+        # a noiseless channel defaults to window mode: two_epsilon tolerates nothing
+        code, out, err = run_cli(["simulate"], capsys)
+        assert code == 0, err
+        assert out.startswith(",".join(CSV_COLUMNS))
+
     def test_bad_epsilon_is_config_error(self, capsys):
         code, _, err = run_cli(
             ["simulate", "--n", "100", "--m", "10", "--epsilon", "0.9"], capsys)
@@ -52,9 +63,11 @@ class TestExitCodes:
         assert code == 2
 
     def test_unknown_attack(self, capsys):
-        code, _, _ = run_cli(
-            ["simulate", "--attack", "laser-blinding"], capsys)
-        assert code == 2
+        # attack names match whole, not by prefix
+        for attack in ("laser-blinding", "intercept_resendX", "substitutes:0.1"):
+            code, _, _ = run_cli(["simulate", "--protocol", "bb84", "--epsilon", "0.02",
+                                  "--attack", attack], capsys)
+            assert code == 2, attack
 
     def test_bounds_out_of_regime(self, capsys):
         code, _, err = run_cli(["bounds", "--n", "100", "--epsilon", "0.3"], capsys)
@@ -96,18 +109,29 @@ class TestSimulateOutputs:
         assert 0.0 <= data["accept_rate"] <= 1.0
         assert data["trials"] == 4
         assert data["protocol"] == "epr"
+        assert data["epsilon_expected"] == 0.02  # as given, not via the fidelity
         # keys are emitted sorted for reproducible files
         assert list(data) == sorted(data)
 
-    def test_transcript_jsonl(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flags, n, digest", [
+        (["--n", "50", "--m", "10"], 50,
+         "5eccacb201f95b9196703fa5b3dd2d7f547c4ab1b3c6f0a68dcf3b713b075e6b"),
+        (["--protocol", "bb84", "--omega", "0.1", "--n", "200", "--m", "20"], 200,
+         "d92e587db88df72ffd8cf2a4eebfb8c85f21621b75ddf6e0dbe3dd415bf0cf46"),
+    ], ids=["epr", "bb84"])
+    def test_transcript_jsonl(self, tmp_path, capsys, flags, n, digest):
         tr = tmp_path / "t.jsonl"
         code, _, _ = run_cli(
-            ["simulate", "--n", "50", "--m", "10", "--epsilon", "0.02",
+            ["simulate", *flags, "--epsilon", "0.02",
              "--transcript", str(tr), "--out", str(tmp_path / "x.csv")], capsys)
         assert code == 0
         lines = tr.read_text().splitlines()
-        assert len(lines) == 50
-        assert "outcome_a" in json.loads(lines[0])
+        assert len(lines) == n
+        records = [json.loads(line) for line in lines]
+        assert [r["index"] for r in records] == list(range(n))
+        assert all(list(r) == sorted(r) for r in records)
+        # pinned: each line is json.dumps(record, sort_keys=True) of its position
+        assert hashlib.sha256(tr.read_bytes()).hexdigest() == digest
 
     def test_repeat_runs_byte_identical(self, tmp_path, capsys):
         args = ["simulate", "--n", "3000", "--m", "300", "--epsilon", "0.03",
@@ -138,12 +162,27 @@ class TestSimulateOutputs:
         assert len(rows) == 2
         assert int(rows[0]["sifted_len"]) > 2000
 
+    def test_scenario_attack_is_the_flag_string(self, tmp_path, capsys):
+        base = ["simulate", "--n", "2000", "--m", "200", "--epsilon", "0.01", "--seed", "4"]
+        by_flag, by_file = tmp_path / "flag.csv", tmp_path / "file.csv"
+        assert run_cli(base + ["--attack", "substitute:0.01", "--out", str(by_flag)],
+                       capsys)[0] == 0
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps({"attack": "substitute:0.01"}))
+        assert run_cli(base + ["--scenario", str(scen), "--out", str(by_file)],
+                       capsys)[0] == 0
+        assert by_flag.read_bytes() == by_file.read_bytes()
+        scen.write_text(json.dumps({"attack": {"kind": "substitute", "fraction": 0.01}}))
+        assert run_cli(base + ["--scenario", str(scen)], capsys)[0] == 2
+
     def test_scenario_unknown_field(self, tmp_path, capsys):
         scen = tmp_path / "scen.json"
         scen.write_text(json.dumps({"n": 100, "bogus_knob": 1}))
         code, _, err = run_cli(["simulate", "--scenario", str(scen)], capsys)
         assert code == 2
         assert "bogus_knob" in err
+        scen.write_text(json.dumps({"protocol": "b92"}))
+        assert run_cli(["simulate", "--scenario", str(scen)], capsys)[0] == 2
 
     def test_coherent_attack_records_holevo(self, tmp_path, capsys):
         atk = write_attack_file(tmp_path / "atk.txt", 4)
@@ -264,3 +303,55 @@ class TestDocumentation:
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         probe = "import sys, qkdlab.cli; sys.exit('scipy' in sys.modules)"
         assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+
+
+def _load_bench_module(name):
+    """Import a perfbench file by path, under a name of its own."""
+    key = f"_perfbench_{name}"
+    if key not in sys.modules:
+        spec = importlib.util.spec_from_file_location(key, ROOT / "perfbench" / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[key] = module  # dataclasses look their module up here
+        spec.loader.exec_module(module)
+    return sys.modules[key]
+
+
+def _resolve(span):
+    """The qkdlab object a tracer span name stands for."""
+    methods = {name: f"{layer}.{cls}.{meth}"
+               for name, layer, cls, meth in _load_bench_module("tracer").METHODS}
+    layer, *attrs = methods.get(span, span).split(".")
+    obj = importlib.import_module(f"qkdlab.{layer}")
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    return obj
+
+
+class TestBenchmarkBindings:
+    """The benchmark patches and counts qkdlab names; they must keep existing."""
+
+    def test_must_cross_names_resolve(self):
+        workloads = _load_bench_module("workloads").WORKLOADS
+        names = {n for w in workloads.values() for n in w.must_cross}
+        run_py = (ROOT / "perfbench" / "run.py").read_text(encoding="utf-8")
+        names |= {".".join(m) for m in re.findall(r"from qkdlab\.(\w+) import (\w+)", run_py)}
+        assert "postprocess.final_key_length" in names
+        for name in sorted(names):
+            assert callable(_resolve(name)), name
+
+    def test_traced_methods_exist(self):
+        for _span, layer, cls_name, meth in _load_bench_module("tracer").METHODS:
+            cls = getattr(importlib.import_module(f"qkdlab.{layer}"), cls_name)
+            assert meth in cls.__dict__, f"{layer}.{cls_name}.{meth}"
+
+    def test_counter_arguments_exist(self):
+        for name, count in _load_bench_module("tracer").COUNTERS.items():
+            params = inspect.signature(_resolve(name)).parameters
+            for arg in re.findall(r'args\["(\w+)"\]', inspect.getsource(count)):
+                assert arg in params, f"{name} lost parameter {arg!r}"
+
+    def test_distill_key_is_looked_up_in_cli(self):
+        import qkdlab.cli
+        from qkdlab.postprocess import distill_key
+
+        assert qkdlab.cli.distill_key is distill_key

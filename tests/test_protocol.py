@@ -10,7 +10,6 @@ from scipy import stats
 from qkdlab.adversary import (
     CoherentAttack,
     InterceptResend,
-    NoAttack,
     SubstituteAttack,
 )
 from qkdlab.channel import ChannelModel
@@ -100,7 +99,7 @@ class TestSessionConfig:
 class TestEprSession:
     def test_ideal_channel(self):
         cfg = SessionConfig(500, 50, 0.0, threshold_mode="window")
-        tr = run_epr_session(cfg, ChannelModel(1.0), NoAttack(), stream(505))
+        tr = run_epr_session(cfg, ChannelModel(1.0), None, stream(505))
         assert tr.verdict == "accepted"
         assert tr.observed_error_count == 0
         assert np.array_equal(tr.sifted_key_a, tr.sifted_key_b)

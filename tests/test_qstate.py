@@ -16,6 +16,7 @@ from qkdlab.qstate import (
     density,
     fidelity,
     measure_pair,
+    pair_branches,
     partial_trace,
     random_axes,
     random_rotation,
@@ -156,6 +157,29 @@ class TestMeasurePair:
             hits += a != b
         sigma = np.sqrt((1 / 3) * (2 / 3) / trials)
         assert abs(hits / trials - 1 / 3) < 3 * sigma
+
+    @pytest.mark.parametrize("axis_a", [AXIS_Z, AXIS_X])
+    @pytest.mark.parametrize("axis_b", [AXIS_Z, AXIS_X])
+    @pytest.mark.parametrize("label", range(4))
+    def test_measurement_order_does_not_matter(self, label, axis_a, axis_b):
+        """Alice first or Bob first: the same joint distribution p[a, b]."""
+        vec = bell_vectors()[label]
+        proj_a, proj_b = spin_projectors(axis_a), spin_projectors(axis_b)
+        alice_first = np.empty((2, 2))
+        bob_first = np.empty((2, 2))
+        for a in (0, 1):
+            for b in (0, 1):
+                v = apply_operator(vec, (2, 2), proj_a[a], (0,))
+                v = apply_operator(v, (2, 2), proj_b[b], (1,))
+                alice_first[a, b] = np.vdot(v, v).real
+                v = apply_operator(vec, (2, 2), proj_b[b], (1,))
+                v = apply_operator(v, (2, 2), proj_a[a], (0,))
+                bob_first[a, b] = np.vdot(v, v).real
+        branches, p = pair_branches(QuantumState(vec, (2, 2)), 0, axis_a, axis_b)
+        assert np.array_equal(p, alice_first)
+        assert np.allclose(bob_first, alice_first, rtol=0.0, atol=1e-12)
+        assert p.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose([np.vdot(v, v).real for v in branches], p.reshape(-1))
 
     def test_post_state_normalized(self):
         rng = stream(108)
