@@ -3,7 +3,7 @@
 Three attack families are modeled:
 
   * intercept-resend on single photons (measure in a basis, resend the
-    eigenstate seen),
+    eigenstate seen; run by :func:`qkdlab.protocol.run_bb84_session`),
   * substitution of a fraction of pairs by triplet Bell states,
   * fully coherent attacks, where the attacker prepares the entire joint
     state of N pairs entangled with a private ancilla block:
@@ -39,14 +39,10 @@ import numpy as np
 from .bounds import atypical_threshold, binary_entropy
 from .errors import ConfigError
 from .qstate import (
-    AXIS_X,
-    AXIS_Z,
     DensityMatrix,
-    MeasurementAxis,
     QuantumState,
     apply_operator,
     bell_vectors,
-    measure_qubit,
     random_axes,
     random_unitary,
     reduced_density,
@@ -123,29 +119,6 @@ def substitute_pairs(
         labels[positions] = rng.choice([1, 2, 3], size=count, p=weights)
         mask[positions] = True
     return labels, mask
-
-
-def intercept_resend(
-    photon: QuantumState, policy: str, rng: np.random.Generator
-) -> tuple[QuantumState, int]:
-    """Measure a single photon per ``policy`` and resend the eigenstate seen.
-
-    Returns (resent photon, recorded bit).  The resent state is exactly the
-    projector eigenstate of the measured outcome, so a matching-basis
-    measurement downstream reproduces the recorded bit with certainty.
-    """
-    if photon.dims != (2,):
-        raise ConfigError("intercept-resend acts on single-qubit states")
-    if policy == "random":
-        policy = "rectilinear" if rng.random() < 0.5 else "diagonal"
-    if policy == "rectilinear":
-        axis = AXIS_Z
-    elif policy == "diagonal":
-        axis = AXIS_X
-    else:
-        raise ConfigError(f"unknown intercept policy {policy!r}")
-    bit, post = measure_qubit(photon, 0, axis, rng)
-    return post, bit
 
 
 # ---------------------------------------------------------------------------
@@ -277,19 +250,23 @@ class CoherentAttack:
         return _bell_transform(arr, self.n_pairs, to_bell=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TestPlan:
-    """Which pairs get compared, along which axes, and what error counts pass."""
+    """Which pairs get compared, along which axes, and what error counts pass.
+
+    ``axes`` is an (m, 3) array whose row i is the common axis of pair
+    ``indices[i]``; rows are normalized by :func:`qkdlab.qstate.spin_projectors`.
+    """
 
     __test__ = False  # not a pytest fixture despite the name
 
     indices: tuple[int, ...]
-    axes: tuple[MeasurementAxis, ...]
+    axes: np.ndarray
     accept_lo: int
     accept_hi: int
 
     def __post_init__(self) -> None:
-        if len(self.indices) != len(self.axes):
+        if np.shape(self.axes) != (len(self.indices), 3):
             raise ConfigError("one axis per tested pair is required")
         if len(set(self.indices)) != len(self.indices):
             raise ConfigError("test indices must be distinct")
@@ -301,69 +278,52 @@ class TestPlan:
                 f"subrange of 0..{len(self.indices)}"
             )
 
-    @classmethod
-    def strict(cls, indices, axes) -> "TestPlan":
-        """Pass only when every tested pair comes out antiparallel."""
-        return cls(tuple(indices), tuple(axes), 0, 0)
 
-    @classmethod
-    def windowed(cls, indices, axes, lo: int, hi: int) -> "TestPlan":
-        return cls(tuple(indices), tuple(axes), lo, hi)
-
-
-def _pair_coarse_projectors(axis_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pair_coarse_projectors(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(E_antiparallel, E_parallel) on a pair, both qubits along the same axis."""
-    up, down = spin_projectors(MeasurementAxis.from_array(axis_vec))
+    up, down = spin_projectors(axis)
     anti = np.kron(up, down) + np.kron(down, up)
     return anti, np.eye(4, dtype=complex) - anti
 
 
-def _error_count_probs(
-    amps: np.ndarray,
-    dims: tuple[int, ...],
-    pairs: tuple[int, ...],
-    axis_vecs: np.ndarray,
-    visit,
-) -> None:
-    """Branch over antiparallel/parallel outcomes of each tested pair.
+def _outcome_classes(attack: CoherentAttack, indices: tuple[int, ...], axes: np.ndarray):
+    """Yield (leaf amplitudes, error count) for each of the 2^m outcome classes.
 
-    Calls ``visit(leaf amplitudes, error count)`` on each of the 2^m
-    leaves.  Branch projectors commute across pairs and are orthogonal
-    within a pair, so leaf norms are exact outcome-class probabilities.
+    Tested pair ``indices[i]`` branches into antiparallel (no error) and
+    parallel (one error) along ``axes[i]``, depth first, antiparallel first.
+    Branch projectors commute across pairs and are orthogonal within a
+    pair, so leaf norms are exact outcome-class probabilities.
     """
-    ops = [_pair_coarse_projectors(axis_vecs[i]) for i in range(len(pairs))]
-
-    def rec(vec: np.ndarray, i: int, errors: int) -> None:
-        if i == len(pairs):
-            visit(vec, errors)
-            return
-        qa, qb = 2 * pairs[i], 2 * pairs[i] + 1
-        rec(apply_operator(vec, dims, ops[i][0], (qa, qb)), i + 1, errors)
-        rec(apply_operator(vec, dims, ops[i][1], (qa, qb)), i + 1, errors + 1)
-
-    rec(amps, 0, 0)
-
-
-def _plan_axis_array(plan: TestPlan) -> np.ndarray:
-    return np.array([ax.as_array() for ax in plan.axes]) if plan.axes else np.zeros((0, 3))
-
-
-def _check_plan(attack: CoherentAttack, plan: TestPlan) -> None:
-    if plan.indices and max(plan.indices) >= attack.n_pairs:
+    if indices and max(indices) >= attack.n_pairs:
         raise ConfigError("test plan addresses pairs outside the attack state")
+    dims = attack.state.dims
+    ops = [_pair_coarse_projectors(axes[i]) for i in range(len(indices))]
+
+    def rec(vec: np.ndarray, i: int, errors: int):
+        if i == len(indices):
+            yield vec, errors
+            return
+        qa, qb = 2 * indices[i], 2 * indices[i] + 1
+        yield from rec(apply_operator(vec, dims, ops[i][0], (qa, qb)), i + 1, errors)
+        yield from rec(apply_operator(vec, dims, ops[i][1], (qa, qb)), i + 1, errors + 1)
+
+    yield from rec(attack.state.amplitudes, 0, 0)
+
+
+def error_count_distribution(
+    attack: CoherentAttack, indices: tuple[int, ...], axes: np.ndarray
+) -> np.ndarray:
+    """Exact law of the number of parallel outcomes when the pairs
+    ``indices`` are tested along ``axes``: entry k is P(k errors)."""
+    probs = np.zeros(len(indices) + 1)
+    for vec, errors in _outcome_classes(attack, indices, axes):
+        probs[errors] += np.vdot(vec, vec).real
+    return probs
 
 
 def passing_probability(attack: CoherentAttack, plan: TestPlan) -> float:
     """Exact probability that the attack state passes the plan's test."""
-    _check_plan(attack, plan)
-    probs = np.zeros(len(plan.indices) + 1)
-
-    def visit(vec: np.ndarray, errors: int) -> None:
-        probs[errors] += np.vdot(vec, vec).real
-
-    _error_count_probs(
-        attack.state.amplitudes, attack.state.dims, plan.indices, _plan_axis_array(plan), visit
-    )
+    probs = error_count_distribution(attack, plan.indices, plan.axes)
     return float(probs[plan.accept_lo : plan.accept_hi + 1].sum())
 
 
@@ -383,23 +343,17 @@ def axis_averaged_passing_probability(
     """
     if not 1 <= m <= attack.n_pairs:
         raise ConfigError(f"test size {m} outside 1..{attack.n_pairs}")
+    if n_samples < 1:
+        raise ConfigError(f"axis samples must be positive, got {n_samples}")
     lo, hi = accept
     values = np.empty(n_samples)
-    amps, dims = attack.state.amplitudes, attack.state.dims
     for s in range(n_samples):
         pairs = (
             indices
             if indices is not None
             else tuple(int(i) for i in rng.choice(attack.n_pairs, size=m, replace=False))
         )
-        axes = random_axes(m, rng)
-        probs = np.zeros(m + 1)
-
-        def visit(vec: np.ndarray, errors: int) -> None:
-            probs[errors] += np.vdot(vec, vec).real
-
-        _error_count_probs(amps, dims, pairs, axes, visit)
-        values[s] = probs[lo : hi + 1].sum()
+        values[s] = error_count_distribution(attack, pairs, random_axes(m, rng))[lo : hi + 1].sum()
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
     return mean, stderr
@@ -412,22 +366,15 @@ def conditional_ancilla_state(attack: CoherentAttack, plan: TestPlan) -> Density
     branches, weighted by their Born probabilities.  Raises if the passing
     probability vanishes (there is nothing to condition on).
     """
-    _check_plan(attack, plan)
     anc = attack.ancilla_dim
     particles = attack.state.dim // anc
     accum = np.zeros((anc, anc), dtype=complex)
     total = 0.0
-
-    def visit(vec: np.ndarray, errors: int) -> None:
-        nonlocal total
+    for vec, errors in _outcome_classes(attack, plan.indices, plan.axes):
         if plan.accept_lo <= errors <= plan.accept_hi:
             mat = vec.reshape(particles, anc)
-            accum[...] += mat.T @ mat.conj()
+            accum += mat.T @ mat.conj()
             total += np.vdot(vec, vec).real
-
-    _error_count_probs(
-        attack.state.amplitudes, attack.state.dims, plan.indices, _plan_axis_array(plan), visit
-    )
     if total < 1e-12:
         raise ValueError("passing probability is zero; no conditional state exists")
     return DensityMatrix(accum / total, (anc,))

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import RegimeError
+from .errors import ConfigError, RegimeError
 
 CHAIN_ATOL = 1e-9  # float slack of the log2 links of the bound chain
 
@@ -196,7 +196,7 @@ def eve_info_upper(n_pairs: int, eps: float, theta: float = 0.0) -> float:
     """
     _check_regime(n_pairs, eps)
     if theta < 0.0:
-        raise ValueError("theta must be nonnegative")
+        raise ConfigError(f"theta must be nonnegative, got {theta}")
     t = atypical_threshold(n_pairs, eps)
     return log2_int(atypical_count_exact(n_pairs, t)) + n_pairs * theta
 
@@ -207,7 +207,7 @@ def secrecy_lower_bound(eps: float, kprime: float = 10.0) -> float:
     if not 0.0 <= eps < 0.25:
         raise RegimeError(f"epsilon {eps} outside the validity regime [0, 1/4)")
     if kprime <= 0.0:
-        raise ValueError("kprime must be positive")
+        raise ConfigError(f"kprime must be positive, got {kprime}")
     if eps == 0.0:
         return 1.0
     return max(0.0, 1.0 + kprime * eps * math.log2(eps))

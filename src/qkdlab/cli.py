@@ -43,7 +43,7 @@ from .protocol import (
     run_bb84_session,
     run_epr_session,
 )
-from .qstate import MeasurementAxis, random_axes
+from .qstate import random_axes
 from .rng import stream
 
 CSV_COLUMNS = (
@@ -130,12 +130,30 @@ def _apply_scenario(args: argparse.Namespace) -> None:
         raise ConfigError(f"scenario file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("scenario file must hold a JSON object")
-    fields = set(vars(args)) - {"command", "func", "scenario"} | {"name"}
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    flags = {a.dest: a for a in sub.choices["simulate"]._actions}
     for key, value in data.items():
-        if key not in fields:
+        if key == "name":
+            continue
+        if key not in flags or key in ("help", "scenario"):
             raise ConfigError(f"unknown scenario field {key!r}")
-        if key != "name":
-            setattr(args, key, value)
+        _check_scenario_value(flags[key], value)
+        setattr(args, key, value)
+
+
+def _check_scenario_value(flag: argparse.Action, value) -> None:
+    """Raise ConfigError unless a JSON ``value`` is what ``flag`` parses to."""
+    if value is None:
+        ok = flag.default is None
+    else:
+        kinds = {int: int, float: (int, float)}.get(flag.type, str)
+        ok = (
+            isinstance(value, kinds)
+            and not isinstance(value, bool)
+            and (flag.choices is None or value in flag.choices)
+        )
+    if not ok:
+        raise ConfigError(f"scenario field {flag.dest!r} cannot be {json.dumps(value)}")
 
 
 def _load_attack_file(path) -> CoherentAttack:
@@ -360,12 +378,7 @@ def cmd_attack_eval(args: argparse.Namespace) -> int:
     indices = tuple(
         int(i) for i in np.sort(plan_rng.choice(attack.n_pairs, size=args.m, replace=False))
     )
-    plan = TestPlan(
-        indices=indices,
-        axes=tuple(MeasurementAxis.from_array(v) for v in random_axes(args.m, plan_rng)),
-        accept_lo=args.accept_lo,
-        accept_hi=args.accept_hi,
-    )
+    plan = TestPlan(indices, random_axes(args.m, plan_rng), args.accept_lo, args.accept_hi)
     try:
         holevo = eve_info_bound(conditional_ancilla_state(attack, plan))
     except ValueError:

@@ -51,7 +51,6 @@ from .errors import ConfigError, UndersamplingError
 from .qstate import (
     AXIS_X,
     AXIS_Z,
-    MeasurementAxis,
     QuantumState,
     bell_vectors,
     measure_pair,
@@ -281,8 +280,7 @@ def run_epr_session(
         outcome_b = np.empty(n, dtype=np.uint8)
         state = joint
         for t in range(n):
-            axis = MeasurementAxis.from_array(axes[t])
-            a, b, state = measure_pair(state, t, axis, axis, rng)
+            a, b, state = measure_pair(state, t, axes[t], axes[t], rng)
             outcome_a[t], outcome_b[t] = a, b
     else:
         outcome_a, outcome_b = channel_mod.sample_common_axis_outcomes(labels, axes, rng)
@@ -302,12 +300,7 @@ def run_epr_session(
     keep = ~in_test
     eve_holevo = None
     if coherent:
-        plan = TestPlan(
-            indices=tuple(int(i) for i in test_idx),
-            axes=tuple(MeasurementAxis.from_array(axes[i]) for i in test_idx),
-            accept_lo=lo,
-            accept_hi=hi,
-        )
+        plan = TestPlan(tuple(int(i) for i in test_idx), axes[test_idx], lo, hi)
         try:
             eve_holevo = eve_info_bound(conditional_ancilla_state(attack, plan))
         except ValueError:
@@ -489,17 +482,21 @@ def epr_bb84_equivalence_check(
     """
     if n_samples < 1000:
         raise ConfigError("equivalence comparison needs at least 1000 samples")
+    fidelity = channel_mod._check_fidelity(fidelity)
+    if not 0.0 <= omega <= 1.0:
+        raise ConfigError(f"omega {omega} outside [0, 1]")
     pairs = [QuantumState(v, (2, 2)) for v in bell_vectors()]
     axes = (AXIS_Z, AXIS_X)
+    # flips[label, basis]: the Pauli table run_bb84_session applies
+    flips = _pauli_flips(np.arange(4)[:, None], np.arange(2)[None, :]).astype(int)
     # p[label, basis_a, basis_b, bit_a, bit_b] of each construction
     direct = np.zeros((4, 2, 2, 2, 2))
     paired = np.zeros((4, 2, 2, 2, 2))
     for k, i, j in np.ndindex(4, 2, 2):
         # bit_a uniform; flip per Pauli label; cross-basis uniform
-        flips = (k in (2, 3)) if i == 0 else (k in (1, 2))
         for x in (0, 1):
             if i == j:
-                direct[k, i, j, x, x ^ int(flips)] = 0.5
+                direct[k, i, j, x, x ^ flips[k, i]] = 0.5
             else:
                 direct[k, i, j, x] = 0.25
         # Alice's bit is her outcome, Bob's bit flips his

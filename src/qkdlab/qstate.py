@@ -34,34 +34,11 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
-
-@dataclass(frozen=True)
-class MeasurementAxis:
-    """A unit vector on the Bloch sphere."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self) -> None:
-        norm = math.sqrt(self.x**2 + self.y**2 + self.z**2)
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"axis ({self.x}, {self.y}, {self.z}) is not unit length")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-    @classmethod
-    def from_array(cls, v: np.ndarray) -> "MeasurementAxis":
-        v = np.asarray(v, dtype=float)
-        n = np.linalg.norm(v)
-        if n < 1e-12:
-            raise ValueError("zero vector has no direction")
-        return cls(*(v / n))
-
-
-AXIS_Z = MeasurementAxis(0.0, 0.0, 1.0)
-AXIS_X = MeasurementAxis(1.0, 0.0, 0.0)
+# an axis is a 3-vector; these two are the rectilinear and diagonal bases
+AXIS_Z = np.array([0.0, 0.0, 1.0])
+AXIS_X = np.array([1.0, 0.0, 0.0])
+AXIS_Z.setflags(write=False)
+AXIS_X.setflags(write=False)
 
 
 def random_axes(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -177,9 +154,19 @@ def fidelity(m: DensityMatrix) -> float:
     return float(np.real(psi0.conj() @ m.matrix @ psi0))
 
 
-def spin_projectors(axis: MeasurementAxis) -> tuple[np.ndarray, np.ndarray]:
-    """Projectors (P_up, P_down) onto the spin eigenstates along ``axis``."""
-    n_sigma = axis.x * PAULI_X + axis.y * PAULI_Y + axis.z * PAULI_Z
+def spin_projectors(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Projectors (P_up, P_down) onto the spin eigenstates along ``axis``.
+
+    ``axis`` is any nonzero, finite 3-vector; it is normalized here, so
+    rows of :func:`random_axes` and :data:`AXIS_Z`/:data:`AXIS_X` pass as
+    they are.  Raises ValueError for anything else.
+    """
+    v = np.asarray(axis, dtype=float)
+    norm = float(np.linalg.norm(v)) if v.shape == (3,) else math.nan
+    if not 1e-12 <= norm < math.inf:
+        raise ValueError(f"axis {axis!r} is not a nonzero finite 3-vector")
+    x, y, z = v / norm
+    n_sigma = x * PAULI_X + y * PAULI_Y + z * PAULI_Z
     up = (IDENTITY_2 + n_sigma) / 2.0
     return up, IDENTITY_2 - up
 
@@ -208,34 +195,14 @@ def apply_unitary(state: QuantumState, u: np.ndarray, targets: tuple[int, ...]) 
     return QuantumState(out, state.dims)
 
 
-def measure_qubit(
-    state: QuantumState, qubit: int, axis: MeasurementAxis, rng: np.random.Generator
-) -> tuple[int, QuantumState]:
-    """Projective spin measurement of one qubit along ``axis``.
-
-    Returns (outcome, post-measurement state); outcome 0 is spin up.
-    """
-    if state.dims[qubit] != 2:
-        raise ValueError(f"subsystem {qubit} is not a qubit")
-    up, down = spin_projectors(axis)
-    v_up = apply_operator(state.amplitudes, state.dims, up, (qubit,))
-    p_up = float(np.vdot(v_up, v_up).real)
-    outcome = 0 if rng.random() < p_up else 1
-    v = v_up if outcome == 0 else apply_operator(state.amplitudes, state.dims, down, (qubit,))
-    norm = np.linalg.norm(v)
-    if norm < 1e-12:
-        raise RuntimeError("projection onto a sampled outcome has vanishing norm")
-    return outcome, QuantumState(v / norm, state.dims)
-
-
 def pair_branches(
     state: QuantumState,
     pair_index: int,
-    axis_a: MeasurementAxis,
-    axis_b: MeasurementAxis,
+    axis_a: np.ndarray,
+    axis_b: np.ndarray,
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Project a pair onto each joint outcome, Alice's qubit along ``axis_a``
-    and Bob's along ``axis_b``.
+    and Bob's along ``axis_b`` (3-vectors, as :func:`spin_projectors` takes).
 
     Returns (branches, p): ``branches[2 * a + b]`` is the unnormalized
     state after outcomes (a, b) and ``p[a, b]`` its Born probability.  The two
@@ -261,8 +228,8 @@ def pair_branches(
 def measure_pair(
     state: QuantumState,
     pair_index: int,
-    axis_a: MeasurementAxis,
-    axis_b: MeasurementAxis,
+    axis_a: np.ndarray,
+    axis_b: np.ndarray,
     rng: np.random.Generator,
 ) -> tuple[int, int, QuantumState]:
     """Measure both qubits of a pair, Alice's along ``axis_a`` and Bob's

@@ -11,12 +11,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 def stream(seed: int, *key: int) -> np.random.Generator:
     """Return the Philox generator for ``seed`` at sub-key ``key``.
 
     ``stream(s)`` is the root stream; ``stream(s, i)`` is the stream for
-    trial ``i``; further integers open nested sub-streams.
+    trial ``i``; further integers open nested sub-streams.  A negative
+    seed or key is a ConfigError.
     """
+    if seed < 0 or any(k < 0 for k in key):
+        raise ConfigError(f"seed and stream keys must be nonnegative, got {(seed, *key)}")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
     return np.random.Generator(np.random.Philox(ss))

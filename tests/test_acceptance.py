@@ -44,12 +44,7 @@ from qkdlab.channel import (
 from qkdlab.cli import main, simulate_trial
 from qkdlab.postprocess import final_key_length
 from qkdlab.protocol import SessionConfig, run_bb84_session, run_epr_session
-from qkdlab.qstate import (
-    MeasurementAxis,
-    random_axes,
-    random_unitary,
-    spin_projectors,
-)
+from qkdlab.qstate import AXIS_X, AXIS_Z, random_axes, random_unitary, spin_projectors
 from qkdlab.rng import stream
 
 
@@ -57,10 +52,6 @@ def bell_product(labels, ancilla_dim=1):
     t = np.zeros((4,) * len(labels) + (ancilla_dim,), dtype=complex)
     t[tuple(labels) + (0,)] = 1.0
     return CoherentAttack.from_bell_amplitudes(t)
-
-
-def plan_axes(n, rng):
-    return tuple(MeasurementAxis.from_array(v) for v in random_axes(n, rng))
 
 
 def test_c01_antiparallel_rate_tracks_fidelity():
@@ -92,8 +83,8 @@ def test_c02_intercept_resend_qber_quarter():
     assert abs(tr.error_rate_estimate - 0.25) < 3 * sigma
     assert tr.verdict == "rejected"
     # exact projector enumeration over preparations x interception bases
-    rect = spin_projectors(MeasurementAxis(0.0, 0.0, 1.0))
-    diag = spin_projectors(MeasurementAxis(1.0, 0.0, 0.0))
+    rect = spin_projectors(AXIS_Z)
+    diag = spin_projectors(AXIS_X)
     states = {
         b: tuple(np.linalg.eigh(p)[1][:, -1] for p in ps)
         for b, ps in (("rect", rect), ("diag", diag))
@@ -176,12 +167,12 @@ def test_c05_perfect_passing_isolates_all_singlet():
                 size=(4,) * n + (2,))
             amps /= np.linalg.norm(amps)
             attack = CoherentAttack.from_bell_amplitudes(amps)
-            plan = TestPlan.strict(tuple(range(n)), plan_axes(n, rng))
+            plan = TestPlan(tuple(range(n)), random_axes(n, rng), 0, 0)
             assert passing_probability(attack, plan) < 1.0 - 1e-9
 
         singlets = bell_product((0,) * n)
         for _ in range(5):
-            plan = TestPlan.strict(tuple(range(n)), plan_axes(n, rng))
+            plan = TestPlan(tuple(range(n)), random_axes(n, rng), 0, 0)
             p = passing_probability(singlets, plan)
             assert p == pytest.approx(1.0, abs=1e-12)
             rho = conditional_ancilla_state(singlets, plan)
@@ -193,7 +184,7 @@ def test_c05_perfect_passing_isolates_all_singlet():
         spiked[(0,) * n + (0,)] = math.sqrt(1 - 1e-6)
         spiked[(3,) + (0,) * (n - 1) + (0,)] = math.sqrt(1e-6)
         atk = CoherentAttack.from_bell_amplitudes(spiked)
-        plan = TestPlan.strict(tuple(range(n)), plan_axes(n, rng))
+        plan = TestPlan(tuple(range(n)), random_axes(n, rng), 0, 0)
         assert passing_probability(atk, plan) < 1.0 - 1e-9
     assert perfect_cases >= 15
 

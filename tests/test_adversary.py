@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkdlab.adversary import (
     CoherentAttack,
@@ -13,8 +15,8 @@ from qkdlab.adversary import (
     axis_averaged_passing_probability,
     cloning_report,
     conditional_ancilla_state,
+    error_count_distribution,
     eve_info_bound,
-    intercept_resend,
     passing_probability,
     random_signal_pair,
     signal_preserving_unitary,
@@ -22,10 +24,12 @@ from qkdlab.adversary import (
     typicality_split,
 )
 from qkdlab.bounds import eve_info_upper
+from qkdlab.channel import ChannelModel
 from qkdlab.errors import ConfigError
+from qkdlab.protocol import SessionConfig, run_bb84_session
 from qkdlab.qstate import (
-    MeasurementAxis,
-    QuantumState,
+    AXIS_X,
+    AXIS_Z,
     apply_unitary,
     bell_vectors,
     random_axes,
@@ -36,8 +40,7 @@ from qkdlab.qstate import (
 )
 from qkdlab.rng import stream
 
-Z = MeasurementAxis(0.0, 0.0, 1.0)
-X = MeasurementAxis(1.0, 0.0, 0.0)
+Z, X = AXIS_Z, AXIS_X
 
 
 def bell_product_attack(labels, ancilla_dim=1, marker=0):
@@ -85,19 +88,24 @@ class TestSubstitutePairs:
             substitute_pairs(np.zeros(10, dtype=np.int64), 1.5, (1 / 3, 1 / 3, 1 / 3), rng)
 
 
+def intercept_session(policy, seed, n=4000):
+    """A noiseless BB84 session with every photon intercepted per ``policy``."""
+    config = SessionConfig(n, 1, 0.0, threshold_mode="window")
+    return run_bb84_session(config, ChannelModel(1.0), InterceptResend(policy), stream(seed))
+
+
 class TestInterceptResend:
     def test_same_basis_transparent(self):
-        rng = stream(406)
-        zero = QuantumState(np.array([1.0, 0.0], dtype=complex), (2,))
-        post, bit = intercept_resend(zero, "rectilinear", rng)
-        assert bit == 0
-        assert abs(np.vdot(post.amplitudes, zero.amplitudes)) == pytest.approx(1.0)
+        tr = intercept_session("rectilinear", 406)
+        rect = tr.basis_a == 0
+        assert rect.sum() > 1000
+        assert np.array_equal(tr.eve_bits[rect], tr.outcome_a[rect])
 
     def test_cross_basis_randomizes(self):
-        rng = stream(407)
-        zero = QuantumState(np.array([1.0, 0.0], dtype=complex), (2,))
-        bits = [intercept_resend(zero, "diagonal", rng)[1] for _ in range(2000)]
-        assert np.mean(bits) == pytest.approx(0.5, abs=3 * 0.5 / math.sqrt(2000))
+        tr = intercept_session("diagonal", 407)
+        rect = tr.basis_a == 0
+        agree = (tr.eve_bits[rect] == tr.outcome_a[rect]).mean()
+        assert agree == pytest.approx(0.5, abs=3 * 0.5 / math.sqrt(rect.sum()))
 
     def test_sixteen_case_qber_oracle(self):
         """Exact projector enumeration of the sifted error rate: 1/4."""
@@ -182,8 +190,7 @@ class TestPassingProbability:
         atk = bell_product_attack((0, 0, 0, 0))
         for m in (1, 2, 4):
             idx = tuple(rng.choice(4, size=m, replace=False))
-            axes = tuple(MeasurementAxis.from_array(v) for v in random_axes(m, rng))
-            plan = TestPlan.strict(indices=idx, axes=axes)
+            plan = TestPlan(idx, random_axes(m, rng), 0, 0)
             assert passing_probability(atk, plan) == pytest.approx(1.0, abs=1e-12)
 
     def test_fixed_axis_component_weights(self):
@@ -191,9 +198,8 @@ class TestPassingProbability:
         rng = stream(409)
         atk = bell_product_attack((3, 0))
         for vec in random_axes(20, rng):
-            axis = MeasurementAxis.from_array(vec)
-            plan0 = TestPlan.windowed((0, 1), (axis, Z), 0, 0)
-            plan1 = TestPlan.windowed((0, 1), (axis, Z), 1, 1)
+            plan0 = TestPlan((0, 1), np.array([vec, Z]), 0, 0)
+            plan1 = TestPlan((0, 1), np.array([vec, Z]), 1, 1)
             assert passing_probability(atk, plan0) == pytest.approx(
                 vec[0] ** 2, abs=1e-9
             )
@@ -229,8 +235,7 @@ class TestPassingProbability:
         a1 = bell_product_attack((1, 0, 3, 0))
         a2 = bell_product_attack((0, 3, 0, 1))
         for vec in random_axes(10, rng):
-            axis = MeasurementAxis.from_array(vec)
-            plan = TestPlan.strict((0, 1, 2, 3), (axis,) * 4)
+            plan = TestPlan((0, 1, 2, 3), np.tile(vec, (4, 1)), 0, 0)
             assert passing_probability(a1, plan) == pytest.approx(
                 passing_probability(a2, plan), abs=1e-12
             )
@@ -249,6 +254,51 @@ class TestPassingProbability:
             means.append(mean)
         assert all(a > b for a, b in zip(means, means[1:]))
 
+    def test_rejects_no_samples(self):
+        atk = bell_product_attack((0, 0))
+        for n_samples in (0, -1):
+            with pytest.raises(ConfigError):
+                axis_averaged_passing_probability(atk, 1, stream(422), n_samples=n_samples)
+
+
+class TestPlanValidation:
+    def test_one_axis_row_per_index(self):
+        for axes in (random_axes(3, stream(423)), np.zeros((2, 2)), Z):
+            with pytest.raises(ConfigError):
+                TestPlan((0, 1), axes, 0, 0)
+        assert TestPlan((0, 1), random_axes(2, stream(423)), 0, 2).axes.shape == (2, 3)
+
+
+@st.composite
+def attack_and_plan(draw):
+    """A random coherent attack (N <= 4, ancilla <= 4) and a random test plan."""
+    n = draw(st.integers(1, 4))
+    anc = draw(st.integers(1, 4))
+    rng = stream(draw(st.integers(0, 2**32 - 1)))
+    t = rng.normal(size=(4,) * n + (anc,)) + 1j * rng.normal(size=(4,) * n + (anc,))
+    atk = CoherentAttack.from_bell_amplitudes(t / np.linalg.norm(t))
+    m = draw(st.integers(1, n))
+    indices = tuple(int(i) for i in rng.choice(n, size=m, replace=False))
+    lo = draw(st.integers(0, m))
+    hi = draw(st.integers(lo, m))
+    return atk, TestPlan(indices, random_axes(m, rng), lo, hi)
+
+
+class TestErrorCountDistribution:
+    @settings(max_examples=60, deadline=None)
+    @given(attack_and_plan())
+    def test_sums_to_one_and_conditions_to_unit_trace(self, case):
+        atk, plan = case
+        probs = error_count_distribution(atk, plan.indices, plan.axes)
+        assert probs.shape == (len(plan.indices) + 1,)
+        assert np.all(probs >= -1e-15)
+        assert abs(probs.sum() - 1.0) <= 1e-12
+        p_pass = passing_probability(atk, plan)
+        assert p_pass == probs[plan.accept_lo : plan.accept_hi + 1].sum()
+        if p_pass > 1e-12:
+            rho = conditional_ancilla_state(atk, plan)
+            assert abs(np.trace(rho.matrix).real - 1.0) <= 1e-9
+
 
 class TestConditionalAncilla:
     def test_decoupled_eve_learns_nothing(self):
@@ -257,8 +307,7 @@ class TestConditionalAncilla:
         t[0, 0, 0] = 0.6
         t[0, 0, 1] = 0.8
         atk = CoherentAttack.from_bell_amplitudes(t)
-        axes = tuple(MeasurementAxis.from_array(v) for v in random_axes(2, rng))
-        rho = conditional_ancilla_state(atk, TestPlan.strict((0, 1), axes))
+        rho = conditional_ancilla_state(atk, TestPlan((0, 1), random_axes(2, rng), 0, 0))
         assert eve_info_bound(rho) == pytest.approx(0.0, abs=1e-9)
 
     def test_orthogonal_markers_give_one_bit(self):
@@ -266,7 +315,7 @@ class TestConditionalAncilla:
         t = np.zeros((4, 4, 2), dtype=complex)
         t[0, 0, 0] = t[1, 0, 1] = 1 / math.sqrt(2)
         atk = CoherentAttack.from_bell_amplitudes(t)
-        plan = TestPlan.strict((0, 1), (Z, Z))  # psi1 passes a z test
+        plan = TestPlan((0, 1), np.array([Z, Z]), 0, 0)  # psi1 passes a z test
         rho = conditional_ancilla_state(atk, plan)
         assert np.allclose(rho.matrix, np.eye(2) / 2, atol=1e-9)
         assert eve_info_bound(rho) == pytest.approx(1.0, abs=1e-9)
@@ -276,8 +325,7 @@ class TestConditionalAncilla:
         t = rng.normal(size=(4, 4, 3)) + 1j * rng.normal(size=(4, 4, 3))
         t /= np.linalg.norm(t)
         atk = CoherentAttack.from_bell_amplitudes(t)
-        axes = tuple(MeasurementAxis.from_array(v) for v in random_axes(2, rng))
-        rho = conditional_ancilla_state(atk, TestPlan.windowed((0, 1), axes, 0, 1))
+        rho = conditional_ancilla_state(atk, TestPlan((0, 1), random_axes(2, rng), 0, 1))
         assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-9)
 
     def test_fine_grained_outcome_oracle(self):
@@ -287,12 +335,11 @@ class TestConditionalAncilla:
         t /= np.linalg.norm(t)
         atk = CoherentAttack.from_bell_amplitudes(t)
         vecs = random_axes(2, rng)
-        axes = tuple(MeasurementAxis.from_array(v) for v in vecs)
-        plan = TestPlan.strict((0, 1), axes)
+        plan = TestPlan((0, 1), vecs, 0, 0)
 
         eigvecs = []
         for v in vecs:
-            up, down = spin_projectors(MeasurementAxis.from_array(v))
+            up, down = spin_projectors(v)
             eigvecs.append(
                 (np.linalg.eigh(up)[1][:, -1], np.linalg.eigh(down)[1][:, -1])
             )
@@ -326,7 +373,7 @@ class TestConditionalAncilla:
     def test_zero_passing_probability_rejected(self):
         # psi1 never passes an x-axis test (parallel with certainty)
         atk = bell_product_attack((1,))
-        plan = TestPlan.strict((0,), (X,))
+        plan = TestPlan((0,), np.array([X]), 0, 0)
         with pytest.raises(ValueError):
             conditional_ancilla_state(atk, plan)
 
@@ -385,8 +432,7 @@ class TestEveInfoDominance:
             assert aty == pytest.approx(1.0, abs=1e-9)
             m = int(rng.integers(1, 5))
             idxs = tuple(int(i) for i in rng.choice(4, size=m, replace=False))
-            axes = tuple(MeasurementAxis.from_array(v) for v in random_axes(m, rng))
-            plan = TestPlan.windowed(idxs, axes, 0, int(rng.integers(0, m + 1)))
+            plan = TestPlan(idxs, random_axes(m, rng), 0, int(rng.integers(0, m + 1)))
             try:
                 rho = conditional_ancilla_state(atk, plan)
             except ValueError:

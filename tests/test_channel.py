@@ -101,13 +101,12 @@ class TestLabelSampling:
 class TestPerAxisStatistics:
     def test_label_table_matches_projector_arithmetic(self):
         """Antiparallel weight per label equals the projective computation."""
-        from qkdlab.qstate import MeasurementAxis, spin_projectors
+        from qkdlab.qstate import spin_projectors
 
         rng = stream(206)
         vecs = bell_vectors()
         for vec in random_axes(50, rng):
-            axis = MeasurementAxis.from_array(vec)
-            up, down = spin_projectors(axis)
+            up, down = spin_projectors(vec)
             e_anti = np.kron(up, down) + np.kron(down, up)
             axes = vec[None, :]
             for label in range(4):

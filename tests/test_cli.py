@@ -81,6 +81,50 @@ class TestExitCodes:
         assert code == 2
 
 
+SCENARIO_MISTAKES = {
+    "int_as_string": {"n": "100"},
+    "int_as_float": {"trials": 2.0},
+    "int_as_bool": {"seed": True},
+    "float_as_string": {"epsilon": "0.02"},
+    "string_as_number": {"summary": 0},
+    "null_without_none_default": {"omega": None},
+}
+
+
+class TestConfigMistakes:
+    """Each mistake exits 2 with a config error, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--seed", "-1"],
+        ["attack-eval", "--attack-file", "ATTACK", "--m", "1", "--seed", "-1"],
+        ["equivalence", "--seed", "-3"],
+        ["simulate", "--kprime", "0"],
+        ["bounds", "--n", "100", "--epsilon", "0.01", "--kprime", "0"],
+        ["bounds", "--n", "100", "--epsilon", "0.01", "--theta", "-1"],
+        ["equivalence", "--fidelity", "1.5"],
+        ["equivalence", "--omega", "2"],
+        ["attack-eval", "--attack-file", "ATTACK", "--m", "1", "--axis-samples", "0"],
+        *(["simulate", "--scenario", f"SCENARIO:{name}"] for name in SCENARIO_MISTAKES),
+    ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv).replace("SCENARIO:", ""))
+    def test_exits_2(self, tmp_path, capsys, argv):
+        argv = list(argv)
+        for i, arg in enumerate(argv):
+            if arg == "ATTACK":
+                argv[i] = write_attack_file(tmp_path / "atk.txt", 2)
+            elif arg.startswith("SCENARIO:"):
+                argv[i] = str(tmp_path / "scen.json")
+                (tmp_path / "scen.json").write_text(json.dumps(SCENARIO_MISTAKES[arg[9:]]))
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert "config error" in err
+
+    def test_scenario_values_of_the_right_type_run(self, tmp_path, capsys):
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps({"n": 200, "m": 20, "epsilon": 0, "kprime": 5,
+                                    "threshold_mode": "window", "fidelity": None}))
+        assert run_cli(["simulate", "--scenario", str(scen)], capsys)[0] == 0
+
+
 class TestSimulateOutputs:
     def test_csv_columns_and_types(self, tmp_path, capsys):
         out_csv = tmp_path / "runs.csv"
@@ -132,6 +176,26 @@ class TestSimulateOutputs:
         assert all(list(r) == sorted(r) for r in records)
         # pinned: each line is json.dumps(record, sort_keys=True) of its position
         assert hashlib.sha256(tr.read_bytes()).hexdigest() == digest
+
+    def test_coherent_outputs_pinned(self, tmp_path, monkeypatch, capsys):
+        """Exact coherent-attack scoring: session, transcript and attack-eval digests."""
+        monkeypatch.chdir(tmp_path)
+        Path("attack.txt").write_text(
+            "0000 0 0.6 0.0\n0100 1 0.0 0.6\n0030 2 0.5291502622129181 0.0\n")
+        assert run_cli(["simulate", "--n", "4", "--m", "2", "--epsilon", "0.2",
+                        "--attack", "coherent", "--attack-file", "attack.txt",
+                        "--trials", "20", "--seed", "5", "--out", "sim.csv",
+                        "--transcript", "sim.jsonl"], capsys)[0] == 0
+        assert run_cli(["attack-eval", "--attack-file", "attack.txt", "--m", "2",
+                        "--epsilon", "0.2", "--axis-samples", "200", "--seed", "3",
+                        "--summary", "ae.json"], capsys)[0] == 0
+        digests = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
+                   for name in ("sim.csv", "sim.jsonl", "ae.json")}
+        assert digests == {
+            "sim.csv": "2aab221a5ee51c437e3966a9c8ef4ca3390ca695e74f11dd38f1bd93ab0bf1ff",
+            "sim.jsonl": "be569d638117c35fdaa0862161536ba8b27c2eea10d4babfebb11eb87c3502aa",
+            "ae.json": "8a112630ce6adc37c3146c17e0f14f86b574b99afdf1ec7e933146cd4a75c09f",
+        }
 
     def test_repeat_runs_byte_identical(self, tmp_path, capsys):
         args = ["simulate", "--n", "3000", "--m", "300", "--epsilon", "0.03",

@@ -7,7 +7,6 @@ from qkdlab.qstate import (
     AXIS_X,
     AXIS_Z,
     DensityMatrix,
-    MeasurementAxis,
     QuantumState,
     apply_operator,
     apply_unitary,
@@ -86,8 +85,11 @@ class TestFidelity:
 
 class TestMeasurementAxis:
     def test_validates_norm(self):
-        with pytest.raises(ValueError):
-            MeasurementAxis(1.0, 1.0, 0.0)
+        for bad in ((0.0, 0.0, 0.0), (1.0, 0.0), (np.nan, 0.0, 1.0)):
+            with pytest.raises(ValueError):
+                spin_projectors(np.array(bad))
+        # any other 3-vector is normalized, as random_axes rows and AXIS_Z are
+        assert np.array_equal(spin_projectors([0.0, 0.0, 2.0])[0], spin_projectors(AXIS_Z)[0])
 
     def test_random_axes_unit_and_isotropic(self):
         rng = stream(103)
@@ -111,7 +113,7 @@ class TestSpinProjectors:
     def test_idempotent_and_complete(self):
         rng = stream(104)
         for vec in random_axes(1000, rng):
-            up, down = spin_projectors(MeasurementAxis.from_array(vec))
+            up, down = spin_projectors(vec)
             assert np.allclose(up @ up, up, atol=1e-9)
             assert np.allclose(down @ down, down, atol=1e-9)
             assert np.allclose(up + down, np.eye(2), atol=1e-12)
@@ -121,8 +123,7 @@ class TestMeasurePair:
     def test_singlet_always_antiparallel(self):
         rng = stream(105)
         psi0 = bell_basis()[0]
-        for vec in random_axes(50, rng):
-            axis = MeasurementAxis.from_array(vec)
+        for axis in random_axes(50, rng):
             a, b, _ = measure_pair(psi0, 0, axis, axis, rng)
             assert a != b
 
@@ -151,8 +152,7 @@ class TestMeasurePair:
         psi = bell_basis()[1]
         hits = 0
         trials = 2000
-        for vec in random_axes(trials, rng):
-            axis = MeasurementAxis.from_array(vec)
+        for axis in random_axes(trials, rng):
             a, b, _ = measure_pair(psi, 0, axis, axis, rng)
             hits += a != b
         sigma = np.sqrt((1 / 3) * (2 / 3) / trials)
