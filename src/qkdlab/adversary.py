@@ -272,11 +272,12 @@ class TestPlan:
             raise ConfigError("test indices must be distinct")
         if self.indices and min(self.indices) < 0:
             raise ConfigError("test indices must be nonnegative")
-        if not 0 <= self.accept_lo <= self.accept_hi <= len(self.indices):
-            raise ConfigError(
-                f"acceptance interval [{self.accept_lo}, {self.accept_hi}] is not a "
-                f"subrange of 0..{len(self.indices)}"
-            )
+        _check_accept(self.accept_lo, self.accept_hi, len(self.indices))
+
+
+def _check_accept(lo: int, hi: int, m: int) -> None:
+    if not 0 <= lo <= hi <= m:
+        raise ConfigError(f"acceptance interval [{lo}, {hi}] is not a subrange of 0..{m}")
 
 
 def _pair_coarse_projectors(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -345,7 +346,10 @@ def axis_averaged_passing_probability(
         raise ConfigError(f"test size {m} outside 1..{attack.n_pairs}")
     if n_samples < 1:
         raise ConfigError(f"axis samples must be positive, got {n_samples}")
+    if indices is not None and len(indices) != m:
+        raise ConfigError(f"{len(indices)} test indices given for test size {m}")
     lo, hi = accept
+    _check_accept(lo, hi, m)
     values = np.empty(n_samples)
     for s in range(n_samples):
         pairs = (

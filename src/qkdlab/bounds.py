@@ -22,6 +22,7 @@ max(0, 1 + k' eps log2 eps).
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, RegimeError
@@ -83,23 +84,30 @@ def _check_regime(n_pairs: int, eps: float) -> None:
 
 
 def _l1_exact(n_pairs: int, threshold: int) -> int:
-    # sum over (a, b, c) < T of C(N,a) C(N-a,b) C(N-a-b,c), with the inner
-    # sums shared across outer terms
-    inner: dict[int, int] = {}
-
-    def s_inner(n: int) -> int:
-        if n not in inner:
-            inner[n] = sum(math.comb(n, c) for c in range(threshold))
-        return inner[n]
-
-    middle: dict[int, int] = {}
-
-    def s_middle(n: int) -> int:
-        if n not in middle:
-            middle[n] = sum(math.comb(n, b) * s_inner(n - b) for b in range(threshold))
-        return middle[n]
-
-    return sum(math.comb(n_pairs, a) * s_middle(n_pairs - a) for a in range(threshold))
+    # L1 counts the length-N words over {0,1,2,3} in which each of the
+    # letters 1, 2, 3 occurs fewer than T times: C(N,a) C(N-a,b) C(N-a-b,c)
+    # places a 1s, b 2s and c 3s.  Let s, m, k count such words over {0,1},
+    # {0,1,2} and {0,1,2,3}.  Appending a letter to a length-n word leaves
+    # the set only when that letter already occurs T-1 times, which happens
+    # in C(n,T-1) ways times a word over the other letters on n-T+1 slots:
+    #   s(n+1) = 2 s(n) - C(n,T-1)
+    #   m(n+1) = 3 m(n) - 2 C(n,T-1) s(n-T+1)
+    #   k(n+1) = 4 k(n) - 3 C(n,T-1) m(n-T+1)
+    # and L1 = k(N).  Only the last T values of s and m are kept.
+    if threshold <= 0:
+        return 0
+    s = m = k = 1
+    lagged = deque([(1, 1)], maxlen=threshold)  # (s(j), m(j)), j = n-T+1 .. n
+    c = 0  # C(n, T-1)
+    for n in range(n_pairs):
+        if n == threshold - 1:
+            c = 1
+        elif n >= threshold:
+            c = c * n // (n + 1 - threshold)
+        s_lag, m_lag = lagged[0]
+        s, m, k = 2 * s - c, 3 * m - 2 * c * s_lag, 4 * k - 3 * c * m_lag
+        lagged.append((s, m))
+    return k
 
 
 @dataclass(frozen=True)
@@ -206,8 +214,13 @@ def secrecy_lower_bound(eps: float, kprime: float = 10.0) -> float:
     eps = float(eps)
     if not 0.0 <= eps < 0.25:
         raise RegimeError(f"epsilon {eps} outside the validity regime [0, 1/4)")
-    if kprime <= 0.0:
-        raise ConfigError(f"kprime must be positive, got {kprime}")
+    check_kprime(kprime)
     if eps == 0.0:
         return 1.0
     return max(0.0, 1.0 + kprime * eps * math.log2(eps))
+
+
+def check_kprime(kprime: float) -> None:
+    """Raise ConfigError unless the secrecy-rate constant k' is positive."""
+    if not kprime > 0.0:
+        raise ConfigError(f"kprime must be positive, got {kprime}")

@@ -32,7 +32,13 @@ from .adversary import (
     conditional_ancilla_state,
     eve_info_bound,
 )
-from .bounds import RegimeError, atypical_dim_chain, eve_info_upper, secrecy_lower_bound
+from .bounds import (
+    RegimeError,
+    atypical_dim_chain,
+    check_kprime,
+    eve_info_upper,
+    secrecy_lower_bound,
+)
 from .channel import ChannelModel
 from .errors import ConfigError
 from .postprocess import DistillationResult, distill_key
@@ -246,6 +252,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _apply_scenario(args)
     if args.trials < 1:
         raise ConfigError(f"trials must be positive, got {args.trials}")
+    check_kprime(args.kprime)
     chan, eps = _resolve_channel(args.fidelity, args.epsilon)
     attack = _parse_attack(args.attack, args.attack_file)
     threshold_mode = args.threshold_mode or ("two_epsilon" if eps > 0.0 else "window")
@@ -322,6 +329,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    check_kprime(args.kprime)  # before --out is opened: no partial grid file
     if args.grid_n or args.grid_eps:
         if not (args.grid_n and args.grid_eps and args.out):
             raise ConfigError("grid mode needs --grid-n, --grid-eps and --out")

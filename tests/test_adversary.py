@@ -260,6 +260,18 @@ class TestPassingProbability:
             with pytest.raises(ConfigError):
                 axis_averaged_passing_probability(atk, 1, stream(422), n_samples=n_samples)
 
+    def test_rejects_bad_plan_before_sampling(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("sampled before the plan was checked")
+
+        monkeypatch.setattr("qkdlab.adversary.error_count_distribution", no_work)
+        atk = bell_product_attack((0, 0, 0, 0))
+        for accept, indices in (((0, 5), None), ((2, 1), None), ((-1, 0), None),
+                                ((0, 0), (0,)), ((0, 0), (0, 1, 2))):
+            with pytest.raises(ConfigError):
+                axis_averaged_passing_probability(
+                    atk, 2, stream(424), n_samples=3, accept=accept, indices=indices)
+
 
 class TestPlanValidation:
     def test_one_axis_row_per_index(self):

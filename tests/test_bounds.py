@@ -1,12 +1,16 @@
 """Tests for entropy/counting bounds and the secrecy-rate floor."""
 
+import hashlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkdlab.bounds import (
+    _l1_exact,
     atypical_count_exact,
     atypical_dim_chain,
     atypical_threshold,
@@ -35,6 +39,40 @@ def brute_l1(n, t):
                     math.comb(n, a) * math.comb(n - a, b) * math.comb(n - a - b, c)
                 )
     return total
+
+
+def comb_l1(n, t):
+    """The same triple sum with the inner sums shared across outer terms."""
+    inner = {}
+
+    def s_inner(k):
+        if k not in inner:
+            inner[k] = sum(math.comb(k, c) for c in range(t))
+        return inner[k]
+
+    middle = {}
+
+    def s_middle(k):
+        if k not in middle:
+            middle[k] = sum(math.comb(k, b) * s_inner(k - b) for b in range(t))
+        return middle[k]
+
+    return sum(math.comb(n, a) * s_middle(n - a) for a in range(t))
+
+
+@st.composite
+def in_regime_points(draw):
+    n = draw(st.integers(3, 2000))
+    eps = draw(st.floats(0.5 / n, 0.25, exclude_max=True))
+    return n, eps
+
+
+@st.composite
+def integer_threshold_points(draw):
+    """In-regime (N, eps) with 2 N eps = T an integer, so T/N = 2 eps."""
+    n = draw(st.integers(3, 2000))
+    t = draw(st.integers(1, (n - 1) // 2))
+    return n, t / (2 * n)
 
 
 class TestBinaryEntropy:
@@ -98,6 +136,37 @@ class TestDimChain:
         assert rep.threshold == 2
         assert rep.exact_count == 301
         assert rep.l1 == brute_l1(100, 2) == 1000201
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 80).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, (n + 2) // 2))))
+    def test_l1_recurrence_matches_triple_sum(self, point):
+        n, t = point
+        assert _l1_exact(n, t) == comb_l1(n, t)
+
+    def test_l1_pinned_at_n2000_eps01(self):
+        # SHA-256 of the decimal L1 (1153 digits) from the triple sum
+        rep = atypical_dim_chain(2000, 0.1)
+        assert rep.threshold == 400
+        assert hashlib.sha256(str(rep.l1).encode()).hexdigest() == (
+            "021bb0407844150efe43faade6d7fb9c040acfbedde75474575945d9db888054")
+
+    @settings(max_examples=60, deadline=None)
+    @given(integer_threshold_points())
+    def test_chain_holds_at_integer_thresholds(self, point):
+        rep = atypical_dim_chain(*point)
+        assert rep.threshold == round(2 * point[0] * point[1])
+        assert rep.chain_holds(), point
+
+    @settings(max_examples=60, deadline=None)
+    @given(in_regime_points())
+    def test_links_hold_in_regime(self, point):
+        # L3 <= L4 is left out: it needs H(T/N) <= H(2 eps), and the ceiling
+        # in T = ceil(2 N eps) breaks it at small T, e.g. (50, 0.011)
+        rep = atypical_dim_chain(*point)
+        assert rep.exact_count <= rep.l1 <= rep.l2, point
+        assert rep.log2_l2 <= rep.log2_l3 + 1e-9, point
+        assert rep.log2_l4 <= rep.log2_l5 + 1e-9, point
 
     def test_n50_example(self):
         rep = atypical_dim_chain(50, 0.02)

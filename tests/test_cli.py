@@ -100,6 +100,9 @@ class TestConfigMistakes:
         ["equivalence", "--seed", "-3"],
         ["simulate", "--kprime", "0"],
         ["bounds", "--n", "100", "--epsilon", "0.01", "--kprime", "0"],
+        ["bounds", "--n", "100", "--epsilon", "0.01", "--kprime", "nan"],
+        ["simulate", "--n", "2000", "--m", "200", "--epsilon", "0.01",
+         "--attack", "substitute:0.5", "--kprime", "0", "--trials", "2"],
         ["bounds", "--n", "100", "--epsilon", "0.01", "--theta", "-1"],
         ["equivalence", "--fidelity", "1.5"],
         ["equivalence", "--omega", "2"],
@@ -117,6 +120,24 @@ class TestConfigMistakes:
         code, _, err = run_cli(argv, capsys)
         assert code == 2
         assert "config error" in err
+
+    def test_checked_before_any_work(self, tmp_path, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran before the config was checked")
+
+        monkeypatch.setattr("qkdlab.cli.simulate_trial", no_work)
+        monkeypatch.setattr("qkdlab.adversary.error_count_distribution", no_work)
+        atk = write_attack_file(tmp_path / "atk.txt", 4)
+        grid = tmp_path / "grid.csv"
+        for argv in (
+            ["simulate", "--epsilon", "0.01", "--kprime", "0"],
+            ["attack-eval", "--attack-file", atk, "--m", "2", "--accept-hi", "5"],
+            ["bounds", "--grid-n", "50,100", "--grid-eps", "0.3,0.01",
+             "--out", str(grid), "--kprime", "0"],
+        ):
+            code, _, err = run_cli(argv, capsys)
+            assert (code, "config error" in err) == (2, True), argv
+        assert not grid.exists()
 
     def test_scenario_values_of_the_right_type_run(self, tmp_path, capsys):
         scen = tmp_path / "scen.json"
@@ -196,6 +217,18 @@ class TestSimulateOutputs:
             "sim.jsonl": "be569d638117c35fdaa0862161536ba8b27c2eea10d4babfebb11eb87c3502aa",
             "ae.json": "8a112630ce6adc37c3146c17e0f14f86b574b99afdf1ec7e933146cd4a75c09f",
         }
+
+    def test_bounds_outputs_pinned(self, tmp_path, monkeypatch, capsys):
+        """Exact counting bounds: a single point near N = 1600 and the README grid."""
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(["bounds", "--n", "1601", "--epsilon", "0.060899"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "d32a499553529ea1e817ab40c60fd2f0703e4f4df36cb8a0236e713fcc4de8e5")
+        assert run_cli(["bounds", "--grid-n", "50,100,200", "--grid-eps", "0.01,0.02,0.05",
+                        "--out", "grid.csv"], capsys)[0] == 0
+        assert hashlib.sha256(Path("grid.csv").read_bytes()).hexdigest() == (
+            "77955ec101650860b92d576fee9ef6bd13fb5b7043684997aa6820026489a028")
 
     def test_repeat_runs_byte_identical(self, tmp_path, capsys):
         args = ["simulate", "--n", "3000", "--m", "300", "--epsilon", "0.03",
