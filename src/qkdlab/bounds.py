@@ -162,16 +162,20 @@ class BoundReport:
 def atypical_dim_chain(n_pairs: int, eps: float) -> BoundReport:
     """Exact atypical dimension and the loosening chain L1..L5 at (N, eps).
 
-    Valid for eps in (0, 1/4) with N*eps >= 1/2.  All inequalities of the
-    chain hold by construction; the report keeps exact integers where they
-    are exact and log2 values throughout.
+    Valid for eps in (0, 1/4) with N*eps >= 1/2.  Each link holds for
+    every such point: L1 <= (sum_{k<T} C(N, k))^3, and T - 1 < 2 N eps < N/2
+    makes C(N, T-1) the largest term, so L2 = T^3 C(N, T-1)^3 bounds it;
+    C(N, k) <= 2^(N H(k/N)) gives L3; H is increasing below 1/2 and
+    (T-1)/N < 2 eps, so H((T-1)/N) <= H(2 eps) <= 2 H(eps) gives L4.  The
+    report keeps exact integers where they are exact and log2 values
+    throughout.
     """
     _check_regime(n_pairs, eps)
     t = atypical_threshold(n_pairs, eps)
     exact = atypical_count_exact(n_pairs, t)
     l1 = _l1_exact(n_pairs, t)
-    l2 = t**3 * math.comb(n_pairs, t) ** 3
-    log2_l3 = 3.0 * math.log2(t) + 3.0 * n_pairs * binary_entropy(t / n_pairs)
+    l2 = t**3 * math.comb(n_pairs, t - 1) ** 3
+    log2_l3 = 3.0 * math.log2(t) + 3.0 * n_pairs * binary_entropy((t - 1) / n_pairs)
     mu = 3.0 * math.log2(t**3) / n_pairs
     log2_l4 = n_pairs * (6.0 * binary_entropy(eps) + mu)
     implied_k = (6.0 * binary_entropy(eps) + mu) / (-eps * math.log2(eps))

@@ -62,52 +62,56 @@ def reconcile(
     Each pass permutes both keys the same way, compares block parities,
     and binary-searches every odd block down to a single differing bit,
     which is flipped (so disagreement never increases).  Every compared
-    parity counts one leaked bit.  The block size doubles between passes
-    but stays capped well below the key length, so an even number of
-    leftover errors cannot hide inside a single block; the loop stops
-    only after four consecutive passes find no mismatched block.
+    parity counts one leaked bit.  The first block size is ceil(0.73/q)
+    for the hinted error rate q (0.05 without a hint), at least 2 and at
+    most the key length; a hint of 0 makes the first block the whole key.
+    The block size doubles between passes up to the larger of the first
+    size and n // 16.  The loop stops after four consecutive passes find
+    no mismatched block, or after MAX_PASSES passes.
     Returns (corrected key, leaked bits).
     """
-    a = np.asarray(key_a, dtype=np.uint8).copy()
-    b = np.asarray(key_b, dtype=np.uint8).copy()
+    a = np.asarray(key_a, dtype=np.uint8)
+    b = np.asarray(key_b, dtype=np.uint8)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("keys must be one-dimensional arrays of equal length")
     n = a.size
     if n == 0:
-        return b, 0
+        return b.copy(), 0
     q = 0.05 if qber_hint is None else max(float(qber_hint), 0.0)
-    block = n if q <= 0.0 else min(n, max(2, math.ceil(0.73 / q)))
+    block = n if q <= 0.0 else min(n, max(2, math.ceil(min(0.73 / q, n))))
     block_cap = max(block, n // 16)
+    diff = a ^ b
+    # px[i] is the parity of the first i permuted disagreements, so the
+    # parity of any permuted range [lo, hi) is px[hi] ^ px[lo]
+    px = np.zeros(n + 1, dtype=np.uint8)
     leaked = 0
     clean = 0
     for _ in range(MAX_PASSES):
         perm = rng.permutation(n)
-        pa, pb = a[perm], b[perm]
-        starts = np.arange(0, n, block)
-        par_a = np.add.reduceat(pa, starts) & 1
-        par_b = np.add.reduceat(pb, starts) & 1
-        leaked += starts.size
-        odd_blocks = np.flatnonzero(par_a != par_b)
-        if odd_blocks.size == 0:
+        np.bitwise_xor.accumulate(diff[perm], out=px[1:])
+        lo = np.arange(0, n, block)
+        hi = np.minimum(lo + block, n)
+        leaked += lo.size
+        odd = px[hi] != px[lo]
+        if not odd.any():
             clean += 1
             if clean >= 4:
                 break
         else:
             clean = 0
-            for blk in odd_blocks:
-                lo = int(starts[blk])
-                hi = n if blk + 1 == starts.size else int(starts[blk + 1])
-                while hi - lo > 1:
-                    mid = (lo + hi) // 2
-                    leaked += 1
-                    if (int(pa[lo:mid].sum()) & 1) != (int(pb[lo:mid].sum()) & 1):
-                        hi = mid
-                    else:
-                        lo = mid
-                pb[lo] ^= 1
-                b[perm[lo]] ^= 1
+            # the blocks are disjoint and nothing flips until every search
+            # ends, so all odd blocks bisect together, one level per step;
+            # a finished block (hi - lo == 1) has mid == lo and stays put
+            lo, hi = lo[odd], hi[odd]
+            while (steps := int(np.count_nonzero(hi - lo > 1))) > 0:
+                leaked += steps
+                mid = (lo + hi) // 2
+                left = px[mid] != px[lo]
+                hi = np.where(left, mid, hi)
+                lo = np.where(left, lo, mid)
+            diff[perm[lo]] ^= 1
         block = min(block_cap, 2 * block)
-    return b, leaked
+    return a ^ diff, leaked
 
 
 def privacy_amplify(key_bits, output_length: int, hash_seed: int) -> np.ndarray:

@@ -297,7 +297,7 @@ def attack_and_plan(draw):
 
 
 class TestErrorCountDistribution:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(attack_and_plan())
     def test_sums_to_one_and_conditions_to_unit_trace(self, case):
         atk, plan = case

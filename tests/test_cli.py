@@ -224,11 +224,27 @@ class TestSimulateOutputs:
         code, out, _ = run_cli(["bounds", "--n", "1601", "--epsilon", "0.060899"], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "d32a499553529ea1e817ab40c60fd2f0703e4f4df36cb8a0236e713fcc4de8e5")
+            "84085d75057a0edc809ac5765c72f207ebea7f0fb83e53f80b71116c8c49b6bb")
         assert run_cli(["bounds", "--grid-n", "50,100,200", "--grid-eps", "0.01,0.02,0.05",
                         "--out", "grid.csv"], capsys)[0] == 0
         assert hashlib.sha256(Path("grid.csv").read_bytes()).hexdigest() == (
-            "77955ec101650860b92d576fee9ef6bd13fb5b7043684997aa6820026489a028")
+            "fd31265da410e7a45f4617474630af11dc8098090b0209b1177f3d6e10a3cd05")
+
+    @pytest.mark.parametrize("flags, digests", [
+        ([], ("7c8805a63466fda57815fb308734806b188f2e85eed831ae2e729dcd69aa9675",
+              "f93768ec746448854184d85e2d112b9086d6273394d7c3de332c2802440e2dba")),
+        (["--protocol", "bb84", "--omega", "0.1"],
+         ("b042c733f02defc6c26324ab986cca04a8bfb192ee85c6720eed0fcc0afaad81",
+          "48ca8ee30f55dec5da739663739c85a728277341a69c0adad9317f3f722edfea")),
+    ], ids=["epr", "bb84"])
+    def test_distilled_outputs_pinned(self, tmp_path, capsys, flags, digests):
+        """Trials that reconcile hundreds of odd blocks: CSV and summary digests."""
+        out, summ = tmp_path / "x.csv", tmp_path / "s.json"
+        assert run_cli(["simulate", "--n", "20000", "--m", "2000", "--epsilon", "0.02",
+                        "--kprime", "5", "--trials", "5", "--seed", "7", *flags,
+                        "--out", str(out), "--summary", str(summ)], capsys)[0] == 0
+        assert tuple(hashlib.sha256(p.read_bytes()).hexdigest()
+                     for p in (out, summ)) == digests
 
     def test_repeat_runs_byte_identical(self, tmp_path, capsys):
         args = ["simulate", "--n", "3000", "--m", "300", "--epsilon", "0.03",

@@ -5,9 +5,12 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qkdlab.errors import RegimeError
 from qkdlab.postprocess import (
+    MAX_PASSES,
     bits_to_hex,
     distill_key,
     estimate_error_rate,
@@ -22,6 +25,57 @@ def noisy_pair(n, p, rng):
     a = rng.integers(0, 2, size=n, dtype=np.uint8)
     flips = rng.random(n) < p
     return a, a ^ flips
+
+
+def bisect_reference(key_a, key_b, rng, qber_hint=None):
+    """Shuffled block-parity bisection, one odd block at a time."""
+    a = np.asarray(key_a, dtype=np.uint8).copy()
+    b = np.asarray(key_b, dtype=np.uint8).copy()
+    n = a.size
+    if n == 0:
+        return b, 0
+    q = 0.05 if qber_hint is None else max(float(qber_hint), 0.0)
+    block = n if q <= 0.0 else min(n, max(2, math.ceil(min(0.73 / q, n))))
+    block_cap = max(block, n // 16)
+    leaked = 0
+    clean = 0
+    for _ in range(MAX_PASSES):
+        perm = rng.permutation(n)
+        pa, pb = a[perm], b[perm]
+        starts = np.arange(0, n, block)
+        par_a = np.add.reduceat(pa, starts) & 1
+        par_b = np.add.reduceat(pb, starts) & 1
+        leaked += starts.size
+        odd_blocks = np.flatnonzero(par_a != par_b)
+        if odd_blocks.size == 0:
+            clean += 1
+            if clean >= 4:
+                break
+        else:
+            clean = 0
+            for blk in odd_blocks:
+                lo = int(starts[blk])
+                hi = n if blk + 1 == starts.size else int(starts[blk + 1])
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    leaked += 1
+                    if (int(pa[lo:mid].sum()) & 1) != (int(pb[lo:mid].sum()) & 1):
+                        hi = mid
+                    else:
+                        lo = mid
+                pb[lo] ^= 1
+                b[perm[lo]] ^= 1
+        block = min(block_cap, 2 * block)
+    return b, leaked
+
+
+@st.composite
+def reconcile_cases(draw):
+    """(n, error rate, qber_hint, seed): the hint is None, 0, exact or arbitrary."""
+    n = draw(st.integers(0, 3000))
+    rate = draw(st.floats(0.0, 0.5))
+    hint = draw(st.one_of(st.none(), st.just(0.0), st.just(rate), st.floats(0.0, 0.5)))
+    return n, rate, hint, draw(st.integers(0, 2**32 - 1))
 
 
 class TestEstimate:
@@ -77,6 +131,19 @@ class TestReconcile:
             before = (a != b).sum()
             out, _ = reconcile(a, b, stream(608, trial), qber_hint=0.3)
             assert (a != out).sum() <= before
+
+    @settings(max_examples=200)
+    @given(reconcile_cases())
+    @example((1, 5e-324, 5e-324, 0))  # 0.73 / hint overflows a float
+    def test_matches_per_block_reference(self, case):
+        n, rate, hint, seed = case
+        a, b = noisy_pair(n, rate, stream(seed))
+        rng, ref_rng = stream(seed, 1), stream(seed, 1)
+        out, leaked = reconcile(a, b, rng, qber_hint=hint)
+        want, want_leaked = bisect_reference(a, b, ref_rng, qber_hint=hint)
+        assert out.dtype == want.dtype and np.array_equal(out, want)
+        assert leaked == want_leaked
+        assert rng.integers(2**63) == ref_rng.integers(2**63)
 
     def test_empty_and_shape_checks(self):
         out, leaked = reconcile([], [], stream(609))
