@@ -10,12 +10,24 @@ Three attack families are modeled:
 
         sum_{i1..iN} a_{i1..iN, r} |psi_i1> ... |psi_iN> |r>.
 
-Coherent attacks are evaluated exactly by Born-rule enumeration, which is
-why they are capped at 6 pairs and ancilla dimension 16.  For a test plan
-(which pairs are compared, along which axes, and how many parallel
-outcomes are tolerated) the module computes the exact passing
+For a test plan (which pairs are compared, along which axes, and how many
+parallel outcomes are tolerated) the module computes the exact passing
 probability, the attacker's ancilla state conditioned on passing, and the
 Holevo bound S(rho) on what she can learn from it.
+
+A test of the pairs S sees only their reduced state rho_S.  The scoring
+reshapes the attack state into a matrix X whose rows run over the tested
+pairs, so that X X^dagger = rho_S; when X has more than 4^m columns, one QR
+factorization shrinks it to a square factor with the same product.  Each
+tested pair is then rotated by V(n) (x) V(n), where V's rows are <up_n| and
+<down_n|, so that "parallel along n" becomes the computational outcomes 00
+and 11.  The squared row norms of the rotated matrix, grouped by how many
+pairs came out parallel, are the exact error-count law.  The conditional
+ancilla state keeps the untested pairs and the ancilla as the columns and
+sums the passing rows.  Monte Carlo averages over axes rotate the samples
+that share a tested subset together, in batches of about 1 MB.  The dense
+state of 4^N times the ancilla dimension amplitudes is why coherent
+attacks are capped at 6 pairs and ancilla dimension 16.
 
 The typicality split quantifies the attacker's dilemma: weight on vectors
 with many non-singlet slots is what the test catches, so a surviving
@@ -41,12 +53,10 @@ from .errors import ConfigError
 from .qstate import (
     DensityMatrix,
     QuantumState,
-    apply_operator,
     bell_vectors,
     random_axes,
     random_unitary,
     reduced_density,
-    spin_projectors,
     von_neumann_entropy,
 )
 
@@ -255,7 +265,8 @@ class TestPlan:
     """Which pairs get compared, along which axes, and what error counts pass.
 
     ``axes`` is an (m, 3) array whose row i is the common axis of pair
-    ``indices[i]``; rows are normalized by :func:`qkdlab.qstate.spin_projectors`.
+    ``indices[i]``; rows need not be unit vectors, as the scoring
+    normalizes each one when it rotates its pair into that axis.
     """
 
     __test__ = False  # not a pytest fixture despite the name
@@ -268,10 +279,7 @@ class TestPlan:
     def __post_init__(self) -> None:
         if np.shape(self.axes) != (len(self.indices), 3):
             raise ConfigError("one axis per tested pair is required")
-        if len(set(self.indices)) != len(self.indices):
-            raise ConfigError("test indices must be distinct")
-        if self.indices and min(self.indices) < 0:
-            raise ConfigError("test indices must be nonnegative")
+        _check_indices(self.indices)
         _check_accept(self.accept_lo, self.accept_hi, len(self.indices))
 
 
@@ -280,35 +288,91 @@ def _check_accept(lo: int, hi: int, m: int) -> None:
         raise ConfigError(f"acceptance interval [{lo}, {hi}] is not a subrange of 0..{m}")
 
 
-def _pair_coarse_projectors(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(E_antiparallel, E_parallel) on a pair, both qubits along the same axis."""
-    up, down = spin_projectors(axis)
-    anti = np.kron(up, down) + np.kron(down, up)
-    return anti, np.eye(4, dtype=complex) - anti
+def _check_indices(indices: tuple[int, ...], n_pairs: int | None = None) -> None:
+    """Tested pairs are distinct and, given ``n_pairs``, inside 0..n_pairs-1."""
+    if len(set(indices)) != len(indices):
+        raise ConfigError(f"test indices {tuple(indices)} must be distinct")
+    if indices and min(indices) < 0:
+        raise ConfigError(f"test indices {tuple(indices)} must be nonnegative")
+    if indices and n_pairs is not None and max(indices) >= n_pairs:
+        raise ConfigError(
+            f"test indices {tuple(indices)} address pairs outside 0..{n_pairs - 1}"
+        )
 
 
-def _outcome_classes(attack: CoherentAttack, indices: tuple[int, ...], axes: np.ndarray):
-    """Yield (leaf amplitudes, error count) for each of the 2^m outcome classes.
+# Amplitudes one batch of rotated samples may hold (16 bytes each: ~1 MB).
+_BATCH_AMPLITUDES = 1 << 16
+# Monte Carlo samples drawn and scored together, so memory stays bounded
+# whatever the sample count.
+_SAMPLE_BLOCK = 1 << 12
+# Whether a rotated pair index (2a + b for outcomes a, b) counts as parallel.
+_PARALLEL = np.array([1, 0, 0, 1])
 
-    Tested pair ``indices[i]`` branches into antiparallel (no error) and
-    parallel (one error) along ``axes[i]``, depth first, antiparallel first.
-    Branch projectors commute across pairs and are orthogonal within a
-    pair, so leaf norms are exact outcome-class probabilities.
+
+def _tested_matrix(attack: CoherentAttack, indices: tuple[int, ...]) -> np.ndarray:
+    """The attack state as a (4^m, rest) matrix whose row index runs over the
+    tested pairs (first pair most significant) and whose column index runs
+    over the untested pairs, in order, and then the ancilla."""
+    _check_indices(indices, attack.n_pairs)
+    arr = attack.state.amplitudes.reshape((4,) * attack.n_pairs + (attack.ancilla_dim,))
+    arr = np.moveaxis(arr, list(indices), list(range(len(indices))))
+    return arr.reshape(4 ** len(indices), -1)
+
+
+def _tested_factor(attack: CoherentAttack, indices: tuple[int, ...]) -> np.ndarray:
+    """A matrix F with F F^dagger = rho_S, the reduced state of the tested
+    pairs, and at most 4^m columns: the tested matrix X itself when it is
+    that narrow, else R^dagger from the QR factorization X^dagger = Q R."""
+    x = _tested_matrix(attack, indices)
+    if x.shape[1] > x.shape[0]:
+        x = np.linalg.qr(x.conj().T, mode="r").conj().T
+    return x
+
+
+def _rotate_tested(x: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """Rotate every tested pair of ``x`` into its test axis, once per sample.
+
+    ``x`` is (4^m, cols) with rows indexed as in :func:`_tested_matrix`;
+    ``axes`` is (B, m, 3), row i of each sample being the axis of tested
+    pair i.  Pair i is rotated by V(n) (x) V(n), where V's rows are <up_n| and
+    <down_n|, so it came out parallel exactly when its rotated index is 00
+    or 11.  Returns the (B, 4^m, cols) rotated amplitudes.
     """
-    if indices and max(indices) >= attack.n_pairs:
-        raise ConfigError("test plan addresses pairs outside the attack state")
-    dims = attack.state.dims
-    ops = [_pair_coarse_projectors(axes[i]) for i in range(len(indices))]
+    n = np.asarray(axes, dtype=float)
+    norm = np.linalg.norm(n, axis=-1)
+    if not np.all((norm >= 1e-12) & (norm < math.inf)):
+        raise ValueError("every test axis must be a nonzero finite 3-vector")
+    nx, ny, nz = np.moveaxis(n / norm[..., None], -1, 0)
+    # |up_n> is the ray of (1 + z, x + iy) and of (x - iy, 1 - z); take the
+    # longer representative, of squared length 2 (1 + |z|).
+    north = nz >= 0.0
+    u0 = np.where(north, 1.0 + nz, nx - 1j * ny)
+    u1 = np.where(north, nx + 1j * ny, 1.0 - nz)
+    v = np.stack([np.stack([u0.conj(), u1.conj()], -1), np.stack([-u1, u0], -1)], -2)
+    v /= np.sqrt(2.0 * (1.0 + np.abs(nz)))[..., None, None]
+    w = np.einsum("...ac,...bd->...abcd", v, v).reshape(v.shape[:-2] + (4, 4))
+    out = x[None]
+    for i in range(n.shape[1]):
+        out = w[:, i, None] @ out.reshape(out.shape[0], 4**i, 4, -1)
+    return out.reshape(n.shape[0], *x.shape)
 
-    def rec(vec: np.ndarray, i: int, errors: int):
-        if i == len(indices):
-            yield vec, errors
-            return
-        qa, qb = 2 * indices[i], 2 * indices[i] + 1
-        yield from rec(apply_operator(vec, dims, ops[i][0], (qa, qb)), i + 1, errors)
-        yield from rec(apply_operator(vec, dims, ops[i][1], (qa, qb)), i + 1, errors + 1)
 
-    yield from rec(attack.state.amplitudes, 0, 0)
+def _parallel_counts(m: int) -> np.ndarray:
+    """Number of parallel outcomes of each rotated tested index, 0..4^m-1."""
+    counts = np.zeros(1, dtype=np.int64)
+    for _ in range(m):
+        counts = (counts[:, None] + _PARALLEL).reshape(-1)
+    return counts
+
+
+def _error_count_laws(factor: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """(B, m+1) error-count laws of a tested-pair factor under B axis sets."""
+    m = axes.shape[1]
+    rotated = _rotate_tested(factor, axes)
+    # squared moduli summed along each row, read as (real, imaginary) float pairs
+    parts = rotated.view(np.float64).reshape(rotated.shape[:2] + (-1,))
+    probs = np.einsum("brc,brc->br", parts, parts)
+    return probs @ (_parallel_counts(m)[:, None] == np.arange(m + 1)).astype(float)
 
 
 def error_count_distribution(
@@ -316,16 +380,37 @@ def error_count_distribution(
 ) -> np.ndarray:
     """Exact law of the number of parallel outcomes when the pairs
     ``indices`` are tested along ``axes``: entry k is P(k errors)."""
-    probs = np.zeros(len(indices) + 1)
-    for vec, errors in _outcome_classes(attack, indices, axes):
-        probs[errors] += np.vdot(vec, vec).real
-    return probs
+    if np.shape(axes) != (len(indices), 3):
+        raise ConfigError("one axis per tested pair is required")
+    factor = _tested_factor(attack, tuple(indices))
+    return _error_count_laws(factor, np.asarray(axes, dtype=float)[None])[0]
 
 
 def passing_probability(attack: CoherentAttack, plan: TestPlan) -> float:
     """Exact probability that the attack state passes the plan's test."""
     probs = error_count_distribution(attack, plan.indices, plan.axes)
     return float(probs[plan.accept_lo : plan.accept_hi + 1].sum())
+
+
+def _passing_values(
+    attack: CoherentAttack, pairs: np.ndarray, axes: np.ndarray, lo: int, hi: int
+) -> np.ndarray:
+    """Passing probability of each sampled plan: row s tests the pairs
+    ``pairs[s]`` along the axes ``axes[s]`` and passes with lo..hi errors."""
+    # list each subset in increasing order, so one factor serves all its samples
+    order = np.argsort(pairs, axis=1)
+    pairs = np.take_along_axis(pairs, order, axis=1)
+    axes = np.take_along_axis(axes, order[..., None], axis=1)
+    subsets, which = np.unique(pairs, axis=0, return_inverse=True)
+    values = np.empty(len(pairs))
+    for k, subset in enumerate(subsets):
+        rows = np.flatnonzero(which.reshape(-1) == k)
+        factor = _tested_factor(attack, tuple(int(i) for i in subset))
+        step = max(1, _BATCH_AMPLITUDES // factor.size)
+        for start in range(0, rows.size, step):
+            batch = rows[start : start + step]
+            values[batch] = _error_count_laws(factor, axes[batch])[:, lo : hi + 1].sum(axis=1)
+    return values
 
 
 def axis_averaged_passing_probability(
@@ -338,26 +423,31 @@ def axis_averaged_passing_probability(
 ) -> tuple[float, float]:
     """Monte-Carlo average of the exact passing probability over plans.
 
-    Each sample draws fresh uniform axes and, when ``indices`` is None, a
-    fresh uniformly random m-subset of tested pairs.  Returns the mean and
-    its standard error.
+    Each sample draws, in this order, a uniformly random m-subset of tested
+    pairs (only when ``indices`` is None) and fresh uniform axes.  Samples
+    are drawn in blocks; within a block, samples that test the same subset
+    share one tested-pair factor and are scored in batches.  Returns the
+    mean and its standard error.
     """
     if not 1 <= m <= attack.n_pairs:
         raise ConfigError(f"test size {m} outside 1..{attack.n_pairs}")
     if n_samples < 1:
         raise ConfigError(f"axis samples must be positive, got {n_samples}")
-    if indices is not None and len(indices) != m:
-        raise ConfigError(f"{len(indices)} test indices given for test size {m}")
+    if indices is not None:
+        if len(indices) != m:
+            raise ConfigError(f"{len(indices)} test indices given for test size {m}")
+        _check_indices(indices, attack.n_pairs)
     lo, hi = accept
     _check_accept(lo, hi, m)
     values = np.empty(n_samples)
-    for s in range(n_samples):
-        pairs = (
-            indices
-            if indices is not None
-            else tuple(int(i) for i in rng.choice(attack.n_pairs, size=m, replace=False))
-        )
-        values[s] = error_count_distribution(attack, pairs, random_axes(m, rng))[lo : hi + 1].sum()
+    for first in range(0, n_samples, _SAMPLE_BLOCK):
+        count = min(_SAMPLE_BLOCK, n_samples - first)
+        pairs = np.empty((count, m), dtype=np.int64)
+        axes = np.empty((count, m, 3))
+        for s in range(count):
+            pairs[s] = indices if indices is not None else rng.choice(attack.n_pairs, m, replace=False)
+            axes[s] = random_axes(m, rng)
+        values[first : first + count] = _passing_values(attack, pairs, axes, lo, hi)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
     return mean, stderr
@@ -371,14 +461,15 @@ def conditional_ancilla_state(attack: CoherentAttack, plan: TestPlan) -> Density
     probability vanishes (there is nothing to condition on).
     """
     anc = attack.ancilla_dim
-    particles = attack.state.dim // anc
+    axes = np.asarray(plan.axes, dtype=float)[None]
+    x = _rotate_tested(_tested_matrix(attack, plan.indices), axes)[0]
+    counts = _parallel_counts(len(plan.indices))
     accum = np.zeros((anc, anc), dtype=complex)
     total = 0.0
-    for vec, errors in _outcome_classes(attack, plan.indices, plan.axes):
-        if plan.accept_lo <= errors <= plan.accept_hi:
-            mat = vec.reshape(particles, anc)
-            accum += mat.T @ mat.conj()
-            total += np.vdot(vec, vec).real
+    for errors in range(plan.accept_lo, plan.accept_hi + 1):
+        mat = x[counts == errors].reshape(-1, anc)
+        accum += mat.T @ mat.conj()
+        total += np.vdot(mat, mat).real
     if total < 1e-12:
         raise ValueError("passing probability is zero; no conditional state exists")
     return DensityMatrix(accum / total, (anc,))

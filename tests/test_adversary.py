@@ -1,6 +1,7 @@
 """Tests for eavesdropping strategies and their exact evaluation."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from qkdlab.protocol import SessionConfig, run_bb84_session
 from qkdlab.qstate import (
     AXIS_X,
     AXIS_Z,
+    apply_operator,
     apply_unitary,
     bell_vectors,
     random_axes,
@@ -264,13 +266,24 @@ class TestPassingProbability:
         def no_work(*args, **kwargs):
             raise AssertionError("sampled before the plan was checked")
 
-        monkeypatch.setattr("qkdlab.adversary.error_count_distribution", no_work)
+        monkeypatch.setattr("qkdlab.adversary._rotate_tested", no_work)
         atk = bell_product_attack((0, 0, 0, 0))
+        rng = stream(424)
         for accept, indices in (((0, 5), None), ((2, 1), None), ((-1, 0), None),
-                                ((0, 0), (0,)), ((0, 0), (0, 1, 2))):
+                                ((0, 0), (0,)), ((0, 0), (0, 1, 2)),
+                                ((0, 0), (0, 0)), ((0, 0), (-1, 0)), ((0, 0), (0, 4))):
             with pytest.raises(ConfigError):
                 axis_averaged_passing_probability(
-                    atk, 2, stream(424), n_samples=3, accept=accept, indices=indices)
+                    atk, 2, rng, n_samples=3, accept=accept, indices=indices)
+        assert rng.random() == stream(424).random()  # nothing was drawn
+        axes = random_axes(2, stream(425))
+        for indices in ((0, 0), (-1, 0), (0, 4)):
+            with pytest.raises(ConfigError):
+                error_count_distribution(atk, indices, axes)
+        with pytest.raises(ConfigError):
+            conditional_ancilla_state(atk, TestPlan((0, 4), axes, 0, 0))
+        with pytest.raises(ConfigError):
+            error_count_distribution(atk, (0, 1), random_axes(3, stream(426)))
 
 
 class TestPlanValidation:
@@ -282,25 +295,27 @@ class TestPlanValidation:
 
 
 @st.composite
-def attack_and_plan(draw):
-    """A random coherent attack (N <= 4, ancilla <= 4) and a random test plan."""
-    n = draw(st.integers(1, 4))
-    anc = draw(st.integers(1, 4))
-    rng = stream(draw(st.integers(0, 2**32 - 1)))
+def attack_and_plan(draw, max_pairs=4, max_ancilla=4):
+    """A random dense coherent attack, a random test plan and the seed that
+    drew the attack's amplitudes and the plan's pairs and axes."""
+    n = draw(st.integers(1, max_pairs))
+    anc = draw(st.integers(1, max_ancilla))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = stream(seed)
     t = rng.normal(size=(4,) * n + (anc,)) + 1j * rng.normal(size=(4,) * n + (anc,))
     atk = CoherentAttack.from_bell_amplitudes(t / np.linalg.norm(t))
     m = draw(st.integers(1, n))
     indices = tuple(int(i) for i in rng.choice(n, size=m, replace=False))
     lo = draw(st.integers(0, m))
     hi = draw(st.integers(lo, m))
-    return atk, TestPlan(indices, random_axes(m, rng), lo, hi)
+    return atk, TestPlan(indices, random_axes(m, rng), lo, hi), seed
 
 
 class TestErrorCountDistribution:
     @settings(max_examples=60)
     @given(attack_and_plan())
     def test_sums_to_one_and_conditions_to_unit_trace(self, case):
-        atk, plan = case
+        atk, plan, _ = case
         probs = error_count_distribution(atk, plan.indices, plan.axes)
         assert probs.shape == (len(plan.indices) + 1,)
         assert np.all(probs >= -1e-15)
@@ -310,6 +325,100 @@ class TestErrorCountDistribution:
         if p_pass > 1e-12:
             rho = conditional_ancilla_state(atk, plan)
             assert abs(np.trace(rho.matrix).real - 1.0) <= 1e-9
+
+
+def outcome_classes_reference(attack, indices, axes):
+    """Yield (leaf amplitudes, error count) for each of the 2^m outcome classes.
+
+    The full-state walk the scoring used before the tested-pair reduction:
+    tested pair ``indices[i]`` branches into antiparallel (no error) and
+    parallel (one error) along ``axes[i]``, depth first.  Branch projectors
+    commute across pairs and are orthogonal within a pair, so leaf norms are
+    exact outcome-class probabilities.
+    """
+    dims = attack.state.dims
+
+    def rec(vec, i, errors):
+        if i == len(indices):
+            yield vec, errors
+            return
+        up, down = spin_projectors(axes[i])
+        anti = np.kron(up, down) + np.kron(down, up)
+        pair = (2 * indices[i], 2 * indices[i] + 1)
+        yield from rec(apply_operator(vec, dims, anti, pair), i + 1, errors)
+        yield from rec(apply_operator(vec, dims, np.eye(4) - anti, pair), i + 1, errors + 1)
+
+    yield from rec(attack.state.amplitudes, 0, 0)
+
+
+def reference_law(attack, indices, axes):
+    probs = np.zeros(len(indices) + 1)
+    for vec, errors in outcome_classes_reference(attack, indices, axes):
+        probs[errors] += np.vdot(vec, vec).real
+    return probs
+
+
+def reference_conditional_ancilla(attack, plan):
+    """(unnormalized conditional ancilla state, passing probability)."""
+    anc = attack.ancilla_dim
+    accum = np.zeros((anc, anc), dtype=complex)
+    total = 0.0
+    for vec, errors in outcome_classes_reference(attack, plan.indices, plan.axes):
+        if plan.accept_lo <= errors <= plan.accept_hi:
+            mat = vec.reshape(-1, anc)
+            accum += mat.T @ mat.conj()
+            total += np.vdot(vec, vec).real
+    return accum, total
+
+
+def reference_axis_average(attack, m, rng, n_samples, accept, indices):
+    """One walk per sample, drawing a subset (unless given) and then axes."""
+    lo, hi = accept
+    values = np.empty(n_samples)
+    for s in range(n_samples):
+        pairs = (
+            indices
+            if indices is not None
+            else tuple(int(i) for i in rng.choice(attack.n_pairs, size=m, replace=False))
+        )
+        values[s] = reference_law(attack, pairs, random_axes(m, rng))[lo : hi + 1].sum()
+    stderr = values.std(ddof=1) / math.sqrt(n_samples) if n_samples > 1 else 0.0
+    return values.mean(), stderr
+
+
+class TestTestedPairReduction:
+    """The rotated tested-pair scoring against the full-state outcome walk."""
+
+    @settings(max_examples=60)
+    @given(attack_and_plan(max_pairs=6, max_ancilla=16))
+    def test_matches_outcome_class_walk(self, case):
+        atk, plan, _ = case
+        got = error_count_distribution(atk, plan.indices, plan.axes)
+        assert np.abs(got - reference_law(atk, plan.indices, plan.axes)).max() <= 1e-12
+        accum, total = reference_conditional_ancilla(atk, plan)
+        if total < 1e-12:
+            with pytest.raises(ValueError):
+                conditional_ancilla_state(atk, plan)
+        else:
+            rho = conditional_ancilla_state(atk, plan).matrix
+            assert np.abs(rho - accum / total).max() <= 1e-12
+
+    @settings(max_examples=30)
+    @given(attack_and_plan(max_pairs=6, max_ancilla=16), st.integers(1, 8), st.integers(1, 4),
+           st.booleans())
+    def test_sampler_matches_per_sample_walk(self, case, n_samples, block, fixed):
+        atk, plan, seed = case
+        m = len(plan.indices)
+        indices = plan.indices if fixed else None
+        accept = (plan.accept_lo, plan.accept_hi)
+        rng, ref_rng = stream(seed, 1), stream(seed, 1)
+        # small draw blocks, so that several blocks make up one average
+        with mock.patch("qkdlab.adversary._SAMPLE_BLOCK", block):
+            got = axis_averaged_passing_probability(atk, m, rng, n_samples, accept, indices)
+        want = reference_axis_average(atk, m, ref_rng, n_samples, accept, indices)
+        assert abs(got[0] - want[0]) <= 1e-12
+        assert abs(got[1] - want[1]) <= 1e-12
+        assert np.array_equal(rng.random(4), ref_rng.random(4))
 
 
 class TestConditionalAncilla:

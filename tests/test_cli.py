@@ -126,7 +126,7 @@ class TestConfigMistakes:
             raise AssertionError("ran before the config was checked")
 
         monkeypatch.setattr("qkdlab.cli.simulate_trial", no_work)
-        monkeypatch.setattr("qkdlab.adversary.error_count_distribution", no_work)
+        monkeypatch.setattr("qkdlab.adversary._rotate_tested", no_work)
         atk = write_attack_file(tmp_path / "atk.txt", 4)
         grid = tmp_path / "grid.csv"
         for argv in (
@@ -213,9 +213,9 @@ class TestSimulateOutputs:
         digests = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
                    for name in ("sim.csv", "sim.jsonl", "ae.json")}
         assert digests == {
-            "sim.csv": "2aab221a5ee51c437e3966a9c8ef4ca3390ca695e74f11dd38f1bd93ab0bf1ff",
+            "sim.csv": "12c32d765178e7127ca28f7ef4d9343d483c14d560dedc064def8f5ac85bbff3",
             "sim.jsonl": "be569d638117c35fdaa0862161536ba8b27c2eea10d4babfebb11eb87c3502aa",
-            "ae.json": "8a112630ce6adc37c3146c17e0f14f86b574b99afdf1ec7e933146cd4a75c09f",
+            "ae.json": "83c483da5b7498dbda7cb040db789da97629ed35252234a2fd907daf9c8e2b34",
         }
 
     def test_bounds_outputs_pinned(self, tmp_path, monkeypatch, capsys):
