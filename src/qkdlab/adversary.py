@@ -17,12 +17,11 @@ Holevo bound S(rho) on what she can learn from it.
 
 A test of the pairs S sees only their reduced state rho_S.  The scoring
 reshapes the attack state into a matrix X whose rows run over the tested
-pairs, so that X X^dagger = rho_S; when X has more than 4^m columns, one QR
-factorization shrinks it to a square factor with the same product.  Each
-tested pair is then rotated by V(n) (x) V(n), where V's rows are <up_n| and
-<down_n|, so that "parallel along n" becomes the computational outcomes 00
-and 11.  The squared row norms of the rotated matrix, grouped by how many
-pairs came out parallel, are the exact error-count law.  The conditional
+pairs, so that X X^dagger = rho_S.  Each tested pair is then rotated by
+V(n) (x) V(n), where V's rows are <up_n| and <down_n|, so that "parallel
+along n" becomes the computational outcomes 00 and 11.  The squared row
+norms of the rotated matrix, grouped by how many pairs came out parallel,
+are the exact error-count law.  The conditional
 ancilla state keeps the untested pairs and the ancilla as the columns and
 sums the passing rows.  Monte Carlo averages over axes rotate the samples
 that share a tested subset together, in batches of about 1 MB.  The dense
@@ -302,9 +301,6 @@ def _check_indices(indices: tuple[int, ...], n_pairs: int | None = None) -> None
 
 # Amplitudes one batch of rotated samples may hold (16 bytes each: ~1 MB).
 _BATCH_AMPLITUDES = 1 << 16
-# Monte Carlo samples drawn and scored together, so memory stays bounded
-# whatever the sample count.
-_SAMPLE_BLOCK = 1 << 12
 # Whether a rotated pair index (2a + b for outcomes a, b) counts as parallel.
 _PARALLEL = np.array([1, 0, 0, 1])
 
@@ -317,16 +313,6 @@ def _tested_matrix(attack: CoherentAttack, indices: tuple[int, ...]) -> np.ndarr
     arr = attack.state.amplitudes.reshape((4,) * attack.n_pairs + (attack.ancilla_dim,))
     arr = np.moveaxis(arr, list(indices), list(range(len(indices))))
     return arr.reshape(4 ** len(indices), -1)
-
-
-def _tested_factor(attack: CoherentAttack, indices: tuple[int, ...]) -> np.ndarray:
-    """A matrix F with F F^dagger = rho_S, the reduced state of the tested
-    pairs, and at most 4^m columns: the tested matrix X itself when it is
-    that narrow, else R^dagger from the QR factorization X^dagger = Q R."""
-    x = _tested_matrix(attack, indices)
-    if x.shape[1] > x.shape[0]:
-        x = np.linalg.qr(x.conj().T, mode="r").conj().T
-    return x
 
 
 def _rotate_tested(x: np.ndarray, axes: np.ndarray) -> np.ndarray:
@@ -365,10 +351,10 @@ def _parallel_counts(m: int) -> np.ndarray:
     return counts
 
 
-def _error_count_laws(factor: np.ndarray, axes: np.ndarray) -> np.ndarray:
-    """(B, m+1) error-count laws of a tested-pair factor under B axis sets."""
+def _error_count_laws(x: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """(B, m+1) error-count laws of a tested matrix under B axis sets."""
     m = axes.shape[1]
-    rotated = _rotate_tested(factor, axes)
+    rotated = _rotate_tested(x, axes)
     # squared moduli summed along each row, read as (real, imaginary) float pairs
     parts = rotated.view(np.float64).reshape(rotated.shape[:2] + (-1,))
     probs = np.einsum("brc,brc->br", parts, parts)
@@ -382,8 +368,8 @@ def error_count_distribution(
     ``indices`` are tested along ``axes``: entry k is P(k errors)."""
     if np.shape(axes) != (len(indices), 3):
         raise ConfigError("one axis per tested pair is required")
-    factor = _tested_factor(attack, tuple(indices))
-    return _error_count_laws(factor, np.asarray(axes, dtype=float)[None])[0]
+    x = _tested_matrix(attack, tuple(indices))
+    return _error_count_laws(x, np.asarray(axes, dtype=float)[None])[0]
 
 
 def passing_probability(attack: CoherentAttack, plan: TestPlan) -> float:
@@ -397,7 +383,7 @@ def _passing_values(
 ) -> np.ndarray:
     """Passing probability of each sampled plan: row s tests the pairs
     ``pairs[s]`` along the axes ``axes[s]`` and passes with lo..hi errors."""
-    # list each subset in increasing order, so one factor serves all its samples
+    # list each subset in increasing order, so one tested matrix serves its samples
     order = np.argsort(pairs, axis=1)
     pairs = np.take_along_axis(pairs, order, axis=1)
     axes = np.take_along_axis(axes, order[..., None], axis=1)
@@ -405,11 +391,11 @@ def _passing_values(
     values = np.empty(len(pairs))
     for k, subset in enumerate(subsets):
         rows = np.flatnonzero(which.reshape(-1) == k)
-        factor = _tested_factor(attack, tuple(int(i) for i in subset))
-        step = max(1, _BATCH_AMPLITUDES // factor.size)
+        x = _tested_matrix(attack, tuple(int(i) for i in subset))
+        step = max(1, _BATCH_AMPLITUDES // x.size)
         for start in range(0, rows.size, step):
             batch = rows[start : start + step]
-            values[batch] = _error_count_laws(factor, axes[batch])[:, lo : hi + 1].sum(axis=1)
+            values[batch] = _error_count_laws(x, axes[batch])[:, lo : hi + 1].sum(axis=1)
     return values
 
 
@@ -425,9 +411,8 @@ def axis_averaged_passing_probability(
 
     Each sample draws, in this order, a uniformly random m-subset of tested
     pairs (only when ``indices`` is None) and fresh uniform axes.  Samples
-    are drawn in blocks; within a block, samples that test the same subset
-    share one tested-pair factor and are scored in batches.  Returns the
-    mean and its standard error.
+    that test the same subset share one tested matrix and are scored in
+    batches.  Returns the mean and its standard error.
     """
     if not 1 <= m <= attack.n_pairs:
         raise ConfigError(f"test size {m} outside 1..{attack.n_pairs}")
@@ -439,15 +424,12 @@ def axis_averaged_passing_probability(
         _check_indices(indices, attack.n_pairs)
     lo, hi = accept
     _check_accept(lo, hi, m)
-    values = np.empty(n_samples)
-    for first in range(0, n_samples, _SAMPLE_BLOCK):
-        count = min(_SAMPLE_BLOCK, n_samples - first)
-        pairs = np.empty((count, m), dtype=np.int64)
-        axes = np.empty((count, m, 3))
-        for s in range(count):
-            pairs[s] = indices if indices is not None else rng.choice(attack.n_pairs, m, replace=False)
-            axes[s] = random_axes(m, rng)
-        values[first : first + count] = _passing_values(attack, pairs, axes, lo, hi)
+    pairs = np.empty((n_samples, m), dtype=np.int64)
+    axes = np.empty((n_samples, m, 3))
+    for s in range(n_samples):
+        pairs[s] = indices if indices is not None else rng.choice(attack.n_pairs, m, replace=False)
+        axes[s] = random_axes(m, rng)
+    values = _passing_values(attack, pairs, axes, lo, hi)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
     return mean, stderr

@@ -1,7 +1,6 @@
 """Tests for eavesdropping strategies and their exact evaluation."""
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -404,17 +403,14 @@ class TestTestedPairReduction:
             assert np.abs(rho - accum / total).max() <= 1e-12
 
     @settings(max_examples=30)
-    @given(attack_and_plan(max_pairs=6, max_ancilla=16), st.integers(1, 8), st.integers(1, 4),
-           st.booleans())
-    def test_sampler_matches_per_sample_walk(self, case, n_samples, block, fixed):
+    @given(attack_and_plan(max_pairs=6, max_ancilla=16), st.integers(1, 8), st.booleans())
+    def test_sampler_matches_per_sample_walk(self, case, n_samples, fixed):
         atk, plan, seed = case
         m = len(plan.indices)
         indices = plan.indices if fixed else None
         accept = (plan.accept_lo, plan.accept_hi)
         rng, ref_rng = stream(seed, 1), stream(seed, 1)
-        # small draw blocks, so that several blocks make up one average
-        with mock.patch("qkdlab.adversary._SAMPLE_BLOCK", block):
-            got = axis_averaged_passing_probability(atk, m, rng, n_samples, accept, indices)
+        got = axis_averaged_passing_probability(atk, m, rng, n_samples, accept, indices)
         want = reference_axis_average(atk, m, ref_rng, n_samples, accept, indices)
         assert abs(got[0] - want[0]) <= 1e-12
         assert abs(got[1] - want[1]) <= 1e-12

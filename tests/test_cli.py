@@ -215,7 +215,7 @@ class TestSimulateOutputs:
         assert digests == {
             "sim.csv": "12c32d765178e7127ca28f7ef4d9343d483c14d560dedc064def8f5ac85bbff3",
             "sim.jsonl": "be569d638117c35fdaa0862161536ba8b27c2eea10d4babfebb11eb87c3502aa",
-            "ae.json": "83c483da5b7498dbda7cb040db789da97629ed35252234a2fd907daf9c8e2b34",
+            "ae.json": "ec756235f757a967539b0ee42c08f79b9c35426170dab18c43e8e524ff33cc69",
         }
 
     def test_bounds_outputs_pinned(self, tmp_path, monkeypatch, capsys):
