@@ -18,8 +18,9 @@ Holevo bound S(rho) on what she can learn from it.
 A test of the pairs S sees only their reduced state rho_S.  The scoring
 reshapes the attack state into a matrix X whose rows run over the tested
 pairs, so that X X^dagger = rho_S.  Each tested pair is then rotated by
-V(n) (x) V(n), where V's rows are <up_n| and <down_n|, so that "parallel
-along n" becomes the computational outcomes 00 and 11.  The squared row
+V(n) (x) V(n) with :func:`qkdlab.qstate.rotate_pairs`, the same kernel a
+coherent session measures with, so that "parallel along n" becomes the
+computational outcomes 00 and 11.  The squared row
 norms of the rotated matrix, grouped by how many pairs came out parallel,
 are the exact error-count law.  The conditional
 ancilla state keeps the untested pairs and the ancilla as the columns and
@@ -56,6 +57,7 @@ from .qstate import (
     random_axes,
     random_unitary,
     reduced_density,
+    rotate_pairs,
     von_neumann_entropy,
 )
 
@@ -315,34 +317,6 @@ def _tested_matrix(attack: CoherentAttack, indices: tuple[int, ...]) -> np.ndarr
     return arr.reshape(4 ** len(indices), -1)
 
 
-def _rotate_tested(x: np.ndarray, axes: np.ndarray) -> np.ndarray:
-    """Rotate every tested pair of ``x`` into its test axis, once per sample.
-
-    ``x`` is (4^m, cols) with rows indexed as in :func:`_tested_matrix`;
-    ``axes`` is (B, m, 3), row i of each sample being the axis of tested
-    pair i.  Pair i is rotated by V(n) (x) V(n), where V's rows are <up_n| and
-    <down_n|, so it came out parallel exactly when its rotated index is 00
-    or 11.  Returns the (B, 4^m, cols) rotated amplitudes.
-    """
-    n = np.asarray(axes, dtype=float)
-    norm = np.linalg.norm(n, axis=-1)
-    if not np.all((norm >= 1e-12) & (norm < math.inf)):
-        raise ValueError("every test axis must be a nonzero finite 3-vector")
-    nx, ny, nz = np.moveaxis(n / norm[..., None], -1, 0)
-    # |up_n> is the ray of (1 + z, x + iy) and of (x - iy, 1 - z); take the
-    # longer representative, of squared length 2 (1 + |z|).
-    north = nz >= 0.0
-    u0 = np.where(north, 1.0 + nz, nx - 1j * ny)
-    u1 = np.where(north, nx + 1j * ny, 1.0 - nz)
-    v = np.stack([np.stack([u0.conj(), u1.conj()], -1), np.stack([-u1, u0], -1)], -2)
-    v /= np.sqrt(2.0 * (1.0 + np.abs(nz)))[..., None, None]
-    w = np.einsum("...ac,...bd->...abcd", v, v).reshape(v.shape[:-2] + (4, 4))
-    out = x[None]
-    for i in range(n.shape[1]):
-        out = w[:, i, None] @ out.reshape(out.shape[0], 4**i, 4, -1)
-    return out.reshape(n.shape[0], *x.shape)
-
-
 def _parallel_counts(m: int) -> np.ndarray:
     """Number of parallel outcomes of each rotated tested index, 0..4^m-1."""
     counts = np.zeros(1, dtype=np.int64)
@@ -354,7 +328,7 @@ def _parallel_counts(m: int) -> np.ndarray:
 def _error_count_laws(x: np.ndarray, axes: np.ndarray) -> np.ndarray:
     """(B, m+1) error-count laws of a tested matrix under B axis sets."""
     m = axes.shape[1]
-    rotated = _rotate_tested(x, axes)
+    rotated = rotate_pairs(x, axes)
     # squared moduli summed along each row, read as (real, imaginary) float pairs
     parts = rotated.view(np.float64).reshape(rotated.shape[:2] + (-1,))
     probs = np.einsum("brc,brc->br", parts, parts)
@@ -444,7 +418,7 @@ def conditional_ancilla_state(attack: CoherentAttack, plan: TestPlan) -> Density
     """
     anc = attack.ancilla_dim
     axes = np.asarray(plan.axes, dtype=float)[None]
-    x = _rotate_tested(_tested_matrix(attack, plan.indices), axes)[0]
+    x = rotate_pairs(_tested_matrix(attack, plan.indices), axes)[0]
     counts = _parallel_counts(len(plan.indices))
     accum = np.zeros((anc, anc), dtype=complex)
     total = 0.0

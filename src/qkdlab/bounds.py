@@ -206,9 +206,9 @@ def eve_info_upper(n_pairs: int, eps: float, theta: float = 0.0) -> float:
     residual weight outside it.  Dominates the Holevo quantity of any
     coherent attack supported on the atypical subspace at matching (N, eps).
     """
+    if not 0.0 <= theta < math.inf:
+        raise ConfigError(f"theta must be nonnegative and finite, got {theta}")
     _check_regime(n_pairs, eps)
-    if theta < 0.0:
-        raise ConfigError(f"theta must be nonnegative, got {theta}")
     t = atypical_threshold(n_pairs, eps)
     return log2_int(atypical_count_exact(n_pairs, t)) + n_pairs * theta
 

@@ -175,6 +175,8 @@ def _parse_attack(spec, attack_file):
     """The attack named by an ``--attack`` string; None for "none"."""
     spec = str(spec)
     kind, sep, arg = spec.partition(":")
+    if attack_file and spec != "coherent":
+        raise ConfigError("--attack-file is read only with --attack coherent")
     if spec == "none":
         return None
     if kind == "intercept_resend":
@@ -374,6 +376,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def cmd_attack_eval(args: argparse.Namespace) -> int:
     attack = _load_attack_file(args.attack_file)
+    upper = None
+    if args.epsilon is not None:  # before sampling: a bad epsilon or theta does no work
+        upper = eve_info_upper(attack.n_pairs, args.epsilon, args.theta)
     rng = stream(args.seed)
     mean, stderr = axis_averaged_passing_probability(
         attack,
@@ -401,8 +406,7 @@ def cmd_attack_eval(args: argparse.Namespace) -> int:
         "passing_stderr": stderr,
         "holevo_bits_sample_plan": holevo,
     }
-    if args.epsilon is not None:
-        upper = eve_info_upper(attack.n_pairs, args.epsilon, args.theta)
+    if upper is not None:
         payload["eve_info_upper"] = upper
         payload["holevo_within_upper"] = None if holevo is None else holevo <= upper + 1e-9
     _emit_json(payload, args.summary)

@@ -25,8 +25,9 @@ so configured).  Skewing omega toward 0 drives the sifted fraction
 
 Channel noise is simulated classically through Bell labels / Pauli
 errors, which reproduces the exact quantum statistics for these
-measurement patterns (see :mod:`qkdlab.channel`); coherent attacks switch
-the session to full state-vector measurement.
+measurement patterns (see :mod:`qkdlab.channel`).  A coherent attack is
+measured exactly instead, one pair at a time with
+:func:`qkdlab.qstate.measure_pair`.
 """
 
 from __future__ import annotations
@@ -48,15 +49,7 @@ from .adversary import (
 )
 from .channel import ChannelModel
 from .errors import ConfigError, UndersamplingError
-from .qstate import (
-    AXIS_X,
-    AXIS_Z,
-    QuantumState,
-    bell_vectors,
-    measure_pair,
-    pair_branches,
-    random_axes,
-)
+from .qstate import AXIS_X, AXIS_Z, bell_vectors, measure_pair, random_axes, spin_frames
 
 EPR_EVENTS = (
     "prepared",
@@ -101,8 +94,10 @@ class SessionConfig:
             )
         if not 0.0 <= self.expected_error < 1.0:
             raise ConfigError(f"expected_error {self.expected_error} outside [0, 1)")
-        if self.window_coeff <= 0.0:
-            raise ConfigError(f"window_coeff must be positive, got {self.window_coeff}")
+        if not 0.0 < self.window_coeff < math.inf:
+            raise ConfigError(
+                f"window_coeff must be positive and finite, got {self.window_coeff}"
+            )
         if not 0.0 <= self.omega <= 1.0:
             raise ConfigError(f"omega {self.omega} outside [0, 1]")
         if self.threshold_mode not in ("window", "two_epsilon"):
@@ -119,8 +114,8 @@ def acceptance_window(eps: float, c: float, m: int) -> tuple[int, int]:
         raise ConfigError(f"test size must be positive, got {m}")
     if not 0.0 <= eps < 1.0:
         raise ConfigError(f"expected error {eps} outside [0, 1)")
-    if c <= 0.0:
-        raise ConfigError(f"window coefficient must be positive, got {c}")
+    if not 0.0 < c < math.inf:
+        raise ConfigError(f"window coefficient must be positive and finite, got {c}")
     lo = max(0, math.ceil((eps - c * eps * eps) * m - 1e-9))
     hi = math.floor((eps + c * eps * eps) * m + 1e-9)
     if hi < lo:
@@ -252,8 +247,10 @@ def run_epr_session(
     Axes are drawn only after the acknowledgment event; the attack
     interfaces act on delivered pairs and never receive axis data.  A
     coherent attack replaces the channel wholesale (the attacker prepares
-    every pair herself) and is evaluated by exact state-vector
-    measurement, so it is limited to small N.
+    every pair herself).  Its pairs are then measured in order, each by
+    :func:`qkdlab.qstate.measure_pair` on the amplitudes the earlier pairs
+    left behind, which rotates the pair into its axis and draws the joint
+    outcome once; the dense state limits this to small N.
     """
     _check_attack("epr", attack)
     n, m = config.n_pairs, config.test_size
@@ -265,7 +262,6 @@ def run_epr_session(
             raise ConfigError(
                 f"coherent attack holds {attack.n_pairs} pairs but the session needs {n}"
             )
-        joint = attack.state
     else:
         labels = channel.sample_labels(n, rng)
         if isinstance(attack, SubstituteAttack):
@@ -278,10 +274,9 @@ def run_epr_session(
     if coherent:
         outcome_a = np.empty(n, dtype=np.uint8)
         outcome_b = np.empty(n, dtype=np.uint8)
-        state = joint
+        rest = attack.state.amplitudes
         for t in range(n):
-            a, b, state = measure_pair(state, t, axes[t], axes[t], rng)
-            outcome_a[t], outcome_b[t] = a, b
+            outcome_a[t], outcome_b[t], rest = measure_pair(rest, axes[t], rng)
     else:
         outcome_a, outcome_b = channel_mod.sample_common_axis_outcomes(labels, axes, rng)
     events.append("measured")
@@ -475,18 +470,20 @@ def epr_bb84_equivalence_check(
     Pauli channel, and shared pairs measured with Alice first or with Bob
     first (Alice measuring her half before transmission versus after
     Bob's acknowledgment).  The two measurements on a pair commute, so
-    both pair constructions draw from one exact distribution (see
-    :func:`qkdlab.qstate.pair_branches`).  Counts land in (basis_a,
-    basis_b, bit_a, bit_b) cells; the report's max_z is the largest
-    two-proportion z-score across cells and construction pairs.
+    both pair constructions draw from one exact distribution: the Born
+    weights |(V_a (x) V_b) psi_k|^2 of each Bell state psi_k, V being the
+    spin frame of :func:`qkdlab.qstate.spin_frames` for each side's basis.
+    Counts land in (basis_a, basis_b, bit_a, bit_b) cells; the report's
+    max_z is the largest two-proportion z-score across cells and
+    construction pairs.
     """
     if n_samples < 1000:
         raise ConfigError("equivalence comparison needs at least 1000 samples")
     fidelity = channel_mod._check_fidelity(fidelity)
     if not 0.0 <= omega <= 1.0:
         raise ConfigError(f"omega {omega} outside [0, 1]")
-    pairs = [QuantumState(v, (2, 2)) for v in bell_vectors()]
-    axes = (AXIS_Z, AXIS_X)
+    bell = bell_vectors()
+    frames = spin_frames(np.stack([AXIS_Z, AXIS_X]))
     # flips[label, basis]: the Pauli table run_bb84_session applies
     flips = _pauli_flips(np.arange(4)[:, None], np.arange(2)[None, :]).astype(int)
     # p[label, basis_a, basis_b, bit_a, bit_b] of each construction
@@ -500,7 +497,8 @@ def epr_bb84_equivalence_check(
             else:
                 direct[k, i, j, x] = 0.25
         # Alice's bit is her outcome, Bob's bit flips his
-        paired[k, i, j] = pair_branches(pairs[k], 0, axes[i], axes[j])[1][:, ::-1]
+        amps = np.kron(frames[i], frames[j]) @ bell[k]
+        paired[k, i, j] = (np.abs(amps) ** 2).reshape(2, 2)[:, ::-1]
     dists = {"direct": direct, "epr_alice_first": paired, "epr_bob_first": paired}
 
     p_label = np.array([fidelity] + [(1.0 - fidelity) / 3.0] * 3)

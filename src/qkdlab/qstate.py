@@ -2,10 +2,13 @@
 
 States and density matrices carry an explicit subsystem factorization
 (a tuple of dimensions, qubits being dimension 2 with an optional larger
-ancilla block) so that measurements, rotations and partial traces can
-address individual subsystems of a joint state.  Everything is dense and
-double precision: the intended regime is a handful of qubit pairs plus a
-small ancilla, not general circuit simulation.
+ancilla block) so that partial traces can address individual subsystems
+of a joint state.  A pair is measured along an axis n in one way only:
+:func:`rotate_pairs` rotates it by V(n) (x) V(n), V's rows being <up_n|
+and <down_n| (:func:`spin_frames`), so that each of the four joint
+outcomes is one rotated row.  Everything is dense and double precision:
+the intended regime is a handful of qubit pairs plus a small ancilla, not
+general circuit simulation.
 
 Conventions:
   * Measurement outcomes are 0 for spin up and 1 for spin down along the
@@ -28,11 +31,6 @@ import numpy as np
 
 NORM_ATOL = 1e-9
 EIG_ATOL = 1e-6
-
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
 
 # an axis is a 3-vector; these two are the rectilinear and diagonal bases
 AXIS_Z = np.array([0.0, 0.0, 1.0])
@@ -154,102 +152,67 @@ def fidelity(m: DensityMatrix) -> float:
     return float(np.real(psi0.conj() @ m.matrix @ psi0))
 
 
-def spin_projectors(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Projectors (P_up, P_down) onto the spin eigenstates along ``axis``.
+def spin_frames(axes) -> np.ndarray:
+    """The measurement frame V(n) of each axis: rows <up_n| and <down_n|.
 
-    ``axis`` is any nonzero, finite 3-vector; it is normalized here, so
-    rows of :func:`random_axes` and :data:`AXIS_Z`/:data:`AXIS_X` pass as
-    they are.  Raises ValueError for anything else.
+    ``axes`` is (..., 3), every row any nonzero, finite 3-vector; rows are
+    normalized here, so rows of :func:`random_axes` and
+    :data:`AXIS_Z`/:data:`AXIS_X` pass as they are.  Returns (..., 2, 2).
+    Raises ValueError for anything else.
     """
-    v = np.asarray(axis, dtype=float)
-    norm = float(np.linalg.norm(v)) if v.shape == (3,) else math.nan
-    if not 1e-12 <= norm < math.inf:
-        raise ValueError(f"axis {axis!r} is not a nonzero finite 3-vector")
-    x, y, z = v / norm
-    n_sigma = x * PAULI_X + y * PAULI_Y + z * PAULI_Z
-    up = (IDENTITY_2 + n_sigma) / 2.0
-    return up, IDENTITY_2 - up
+    n = np.asarray(axes, dtype=float)
+    norm = np.linalg.norm(n, axis=-1) if n.shape[-1:] == (3,) else math.nan
+    if not np.all((norm >= 1e-12) & (norm < math.inf)):
+        raise ValueError(f"axis {axes!r} is not a nonzero finite 3-vector")
+    nx, ny, nz = np.moveaxis(n / norm[..., None], -1, 0)
+    # |up_n> is the ray of (1 + z, x + iy) and of (x - iy, 1 - z); take the
+    # longer representative, of squared length 2 (1 + |z|).
+    north = nz >= 0.0
+    u0 = np.where(north, 1.0 + nz, nx - 1j * ny)
+    u1 = np.where(north, nx + 1j * ny, 1.0 - nz)
+    v = np.stack([np.stack([u0.conj(), u1.conj()], -1), np.stack([-u1, u0], -1)], -2)
+    return v / np.sqrt(2.0 * (1.0 + np.abs(nz)))[..., None, None]
 
 
-def apply_operator(
-    amps: np.ndarray, dims: tuple[int, ...], op: np.ndarray, targets: tuple[int, ...]
-) -> np.ndarray:
-    """Apply ``op`` to the ``targets`` subsystems of a raw amplitude vector.
+def rotate_pairs(x: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """Rotate the leading pairs of ``x`` into their axes, once per axis set.
 
-    ``op`` must be square with dimension equal to the product of the target
-    subsystem dimensions.  Returns a new flat amplitude vector; no
-    normalization is performed, so projectors shrink the norm.
+    ``x`` is (4^m, cols), its row index running over m pairs, the first most
+    significant; ``axes`` is (B, m, 3), row i of each set being the axis of
+    pair i.  Pair i is rotated by V(n) (x) V(n) (see :func:`spin_frames`),
+    so rotated index 2a + b holds outcome a for Alice and b for Bob, and the
+    pair came out parallel exactly when that index is 00 or 11.  Returns the
+    (B, 4^m, cols) rotated amplitudes.
     """
-    t = len(targets)
-    tdims = [dims[q] for q in targets]
-    arr = amps.reshape(dims)
-    op_t = op.reshape(tdims + tdims)
-    arr = np.tensordot(op_t, arr, axes=(list(range(t, 2 * t)), list(targets)))
-    arr = np.moveaxis(arr, range(t), targets)
-    return arr.reshape(-1)
-
-
-def apply_unitary(state: QuantumState, u: np.ndarray, targets: tuple[int, ...]) -> QuantumState:
-    """Apply a unitary to the given subsystems, returning a new state."""
-    out = apply_operator(state.amplitudes, state.dims, np.asarray(u, dtype=complex), targets)
-    return QuantumState(out, state.dims)
-
-
-def pair_branches(
-    state: QuantumState,
-    pair_index: int,
-    axis_a: np.ndarray,
-    axis_b: np.ndarray,
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Project a pair onto each joint outcome, Alice's qubit along ``axis_a``
-    and Bob's along ``axis_b`` (3-vectors, as :func:`spin_projectors` takes).
-
-    Returns (branches, p): ``branches[2 * a + b]`` is the unnormalized
-    state after outcomes (a, b) and ``p[a, b]`` its Born probability.  The two
-    single-qubit measurements commute, so the order in which they are
-    applied does not change ``p``.
-    """
-    qa, qb = 2 * pair_index, 2 * pair_index + 1
-    if qb >= len(state.dims) or state.dims[qa] != 2 or state.dims[qb] != 2:
-        raise ValueError(f"pair {pair_index} does not address two qubit subsystems")
-    proj_a = spin_projectors(axis_a)
-    proj_b = spin_projectors(axis_b)
-    branches = []
-    probs = np.empty((2, 2))
-    for a in (0, 1):
-        va = apply_operator(state.amplitudes, state.dims, proj_a[a], (qa,))
-        for b in (0, 1):
-            v = apply_operator(va, state.dims, proj_b[b], (qb,))
-            branches.append(v)
-            probs[a, b] = np.vdot(v, v).real
-    return branches, probs
+    v = spin_frames(axes)
+    w = np.einsum("...ac,...bd->...abcd", v, v).reshape(v.shape[:-2] + (4, 4))
+    out = x[None]
+    for i in range(w.shape[1]):
+        out = w[:, i, None] @ out.reshape(out.shape[0], 4**i, 4, -1)
+    return out.reshape(w.shape[0], *x.shape)
 
 
 def measure_pair(
-    state: QuantumState,
-    pair_index: int,
-    axis_a: np.ndarray,
-    axis_b: np.ndarray,
-    rng: np.random.Generator,
-) -> tuple[int, int, QuantumState]:
-    """Measure both qubits of a pair, Alice's along ``axis_a`` and Bob's
-    along ``axis_b``.
+    amps: np.ndarray, axis: np.ndarray, rng: np.random.Generator
+) -> tuple[int, int, np.ndarray]:
+    """Measure both qubits of the leading pair of ``amps`` along ``axis``.
 
-    Returns (outcome_a, outcome_b, post-measurement state).  The joint
-    outcome is sampled from the Born distribution of the commuting pair of
-    single-qubit measurements.
+    ``amps`` is a raw amplitude array whose first two qubits form the pair.
+    The joint outcome is drawn once from the Born weights of the four
+    rotated rows (see :func:`rotate_pairs`).  Returns (outcome_a, outcome_b,
+    the normalized amplitudes of everything after the pair).
     """
-    branches, probs = pair_branches(state, pair_index, axis_a, axis_b)
-    probs = probs.reshape(-1)
+    rotated = rotate_pairs(np.reshape(amps, (4, -1)), np.reshape(axis, (1, 1, -1)))[0]
+    probs = np.einsum("rc,rc->r", rotated.conj(), rotated).real
     total = probs.sum()
     if abs(total - 1.0) > 1e-6:
         raise RuntimeError(f"outcome probabilities sum to {total}, expected 1")
     idx = int(rng.choice(4, p=probs / total))
-    v = branches[idx]
-    norm = np.linalg.norm(v)
+    row = rotated[idx]
+    norm = np.linalg.norm(row)
     if norm < 1e-12:
         raise RuntimeError("projection onto a sampled outcome has vanishing norm")
-    return idx // 2, idx % 2, QuantumState(v / norm, state.dims)
+    return idx // 2, idx % 2, row / norm
 
 
 def partial_trace(rho: DensityMatrix, keep: tuple[int, ...]) -> DensityMatrix:

@@ -44,8 +44,9 @@ from qkdlab.channel import (
 from qkdlab.cli import main, simulate_trial
 from qkdlab.postprocess import final_key_length
 from qkdlab.protocol import SessionConfig, run_bb84_session, run_epr_session
-from qkdlab.qstate import AXIS_X, AXIS_Z, random_axes, random_unitary, spin_projectors
+from qkdlab.qstate import AXIS_X, AXIS_Z, random_axes, random_unitary
 from qkdlab.rng import stream
+from reference import spin_projectors
 
 
 def bell_product(labels, ancilla_dim=1):

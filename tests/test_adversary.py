@@ -30,16 +30,14 @@ from qkdlab.protocol import SessionConfig, run_bb84_session
 from qkdlab.qstate import (
     AXIS_X,
     AXIS_Z,
-    apply_operator,
-    apply_unitary,
     bell_vectors,
     random_axes,
     random_rotation,
     random_unitary,
-    spin_projectors,
     von_neumann_entropy,
 )
 from qkdlab.rng import stream
+from reference import apply_operator, apply_unitary, spin_projectors
 
 Z, X = AXIS_Z, AXIS_X
 
@@ -265,7 +263,7 @@ class TestPassingProbability:
         def no_work(*args, **kwargs):
             raise AssertionError("sampled before the plan was checked")
 
-        monkeypatch.setattr("qkdlab.adversary._rotate_tested", no_work)
+        monkeypatch.setattr("qkdlab.adversary.rotate_pairs", no_work)
         atk = bell_product_attack((0, 0, 0, 0))
         rng = stream(424)
         for accept, indices in (((0, 5), None), ((2, 1), None), ((-1, 0), None),

@@ -101,7 +101,7 @@ class TestLabelSampling:
 class TestPerAxisStatistics:
     def test_label_table_matches_projector_arithmetic(self):
         """Antiparallel weight per label equals the projective computation."""
-        from qkdlab.qstate import spin_projectors
+        from reference import spin_projectors
 
         rng = stream(206)
         vecs = bell_vectors()

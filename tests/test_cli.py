@@ -104,6 +104,13 @@ class TestConfigMistakes:
         ["simulate", "--n", "2000", "--m", "200", "--epsilon", "0.01",
          "--attack", "substitute:0.5", "--kprime", "0", "--trials", "2"],
         ["bounds", "--n", "100", "--epsilon", "0.01", "--theta", "-1"],
+        ["bounds", "--n", "100", "--epsilon", "0.01", "--theta", "nan"],
+        ["bounds", "--n", "100", "--epsilon", "0.01", "--theta", "inf"],
+        ["attack-eval", "--attack-file", "ATTACK4", "--m", "1", "--epsilon", "0.2",
+         "--theta", "nan"],
+        ["simulate", "--c", "nan", "--threshold-mode", "window"],
+        ["simulate", "--c", "inf", "--threshold-mode", "window"],
+        ["simulate", "--attack-file", "ATTACK"],
         ["equivalence", "--fidelity", "1.5"],
         ["equivalence", "--omega", "2"],
         ["attack-eval", "--attack-file", "ATTACK", "--m", "1", "--axis-samples", "0"],
@@ -112,8 +119,8 @@ class TestConfigMistakes:
     def test_exits_2(self, tmp_path, capsys, argv):
         argv = list(argv)
         for i, arg in enumerate(argv):
-            if arg == "ATTACK":
-                argv[i] = write_attack_file(tmp_path / "atk.txt", 2)
+            if arg.startswith("ATTACK"):  # ATTACK<n> holds n pairs, ATTACK two
+                argv[i] = write_attack_file(tmp_path / "atk.txt", int(arg[6:] or 2))
             elif arg.startswith("SCENARIO:"):
                 argv[i] = str(tmp_path / "scen.json")
                 (tmp_path / "scen.json").write_text(json.dumps(SCENARIO_MISTAKES[arg[9:]]))
@@ -126,7 +133,7 @@ class TestConfigMistakes:
             raise AssertionError("ran before the config was checked")
 
         monkeypatch.setattr("qkdlab.cli.simulate_trial", no_work)
-        monkeypatch.setattr("qkdlab.adversary._rotate_tested", no_work)
+        monkeypatch.setattr("qkdlab.adversary.rotate_pairs", no_work)
         atk = write_attack_file(tmp_path / "atk.txt", 4)
         grid = tmp_path / "grid.csv"
         for argv in (
@@ -462,6 +469,25 @@ class TestBenchmarkBindings:
             params = inspect.signature(_resolve(name)).parameters
             for arg in re.findall(r'args\["(\w+)"\]', inspect.getsource(count)):
                 assert arg in params, f"{name} lost parameter {arg!r}"
+
+    def test_session_measures_through_qstate_measure_pair(self, tmp_path, monkeypatch, capsys):
+        """The benchmark traces qstate.measure_pair where protocol looks it up."""
+        import qkdlab.protocol
+        import qkdlab.qstate
+
+        assert qkdlab.protocol.measure_pair is qkdlab.qstate.measure_pair
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return qkdlab.qstate.measure_pair(*args, **kwargs)
+
+        monkeypatch.setattr("qkdlab.protocol.measure_pair", counting)
+        atk = write_attack_file(tmp_path / "atk.txt", 4)
+        code, _, _ = run_cli(["simulate", "--n", "4", "--m", "2", "--epsilon", "0.2",
+                              "--attack", "coherent", "--attack-file", atk,
+                              "--trials", "3"], capsys)
+        assert (code, len(calls)) == (0, 4 * 3)
 
     def test_distill_key_is_looked_up_in_cli(self):
         import qkdlab.cli

@@ -2,29 +2,31 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import reference
 from qkdlab.qstate import (
     AXIS_X,
     AXIS_Z,
     DensityMatrix,
     QuantumState,
-    apply_operator,
-    apply_unitary,
     bell_basis,
     bell_vectors,
     density,
     fidelity,
     measure_pair,
-    pair_branches,
     partial_trace,
     random_axes,
     random_rotation,
     random_unitary,
     reduced_density,
-    spin_projectors,
+    rotate_pairs,
+    spin_frames,
     von_neumann_entropy,
 )
 from qkdlab.rng import stream
+from reference import apply_operator, apply_unitary, spin_projectors
 
 
 class TestBellBasis:
@@ -86,8 +88,9 @@ class TestFidelity:
 class TestMeasurementAxis:
     def test_validates_norm(self):
         for bad in ((0.0, 0.0, 0.0), (1.0, 0.0), (np.nan, 0.0, 1.0)):
-            with pytest.raises(ValueError):
-                spin_projectors(np.array(bad))
+            for frame_of in (spin_projectors, spin_frames):
+                with pytest.raises(ValueError):
+                    frame_of(np.array(bad))
         # any other 3-vector is normalized, as random_axes rows and AXIS_Z are
         assert np.array_equal(spin_projectors([0.0, 0.0, 2.0])[0], spin_projectors(AXIS_Z)[0])
 
@@ -124,16 +127,16 @@ class TestMeasurePair:
         rng = stream(105)
         psi0 = bell_basis()[0]
         for axis in random_axes(50, rng):
-            a, b, _ = measure_pair(psi0, 0, axis, axis, rng)
+            a, b, _ = measure_pair(psi0.amplitudes, axis, rng)
             assert a != b
 
     def test_triplet_z_antiparallel_x_parallel(self):
         rng = stream(106)
         psi1 = bell_basis()[1]
         for _ in range(50):
-            a, b, _ = measure_pair(psi1, 0, AXIS_Z, AXIS_Z, rng)
+            a, b, _ = measure_pair(psi1.amplitudes, AXIS_Z, rng)
             assert a != b
-            a, b, _ = measure_pair(psi1, 0, AXIS_X, AXIS_X, rng)
+            a, b, _ = measure_pair(psi1.amplitudes, AXIS_X, rng)
             assert a == b
 
     def test_nonsinglet_antiparallel_third_of_the_time(self):
@@ -148,12 +151,12 @@ class TestMeasurePair:
             p_anti = axes[:, comp] ** 2
             hits = (rng.random(n) < p_anti).sum()
             assert hits / n == pytest.approx(1 / 3, abs=0.01)
-        # and the sampled projector path agrees on a smaller run
+        # and the sampled measurement agrees on a smaller run
         psi = bell_basis()[1]
         hits = 0
         trials = 2000
         for axis in random_axes(trials, rng):
-            a, b, _ = measure_pair(psi, 0, axis, axis, rng)
+            a, b, _ = measure_pair(psi.amplitudes, axis, rng)
             hits += a != b
         sigma = np.sqrt((1 / 3) * (2 / 3) / trials)
         assert abs(hits / trials - 1 / 3) < 3 * sigma
@@ -175,20 +178,64 @@ class TestMeasurePair:
                 v = apply_operator(vec, (2, 2), proj_b[b], (1,))
                 v = apply_operator(v, (2, 2), proj_a[a], (0,))
                 bob_first[a, b] = np.vdot(v, v).real
-        branches, p = pair_branches(QuantumState(vec, (2, 2)), 0, axis_a, axis_b)
-        assert np.array_equal(p, alice_first)
+        frames = spin_frames(np.stack([axis_a, axis_b]))
+        p = (np.abs(np.kron(frames[0], frames[1]) @ vec) ** 2).reshape(2, 2)
+        assert np.allclose(p, alice_first, rtol=0.0, atol=1e-12)
         assert np.allclose(bob_first, alice_first, rtol=0.0, atol=1e-12)
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose([np.vdot(v, v).real for v in branches], p.reshape(-1))
 
     def test_post_state_normalized(self):
         rng = stream(108)
-        psi = QuantumState(
-            np.kron(bell_vectors()[2], bell_vectors()[0]), (2, 2, 2, 2)
-        )
-        for pair in (0, 1):
-            _, _, post = measure_pair(psi, pair, AXIS_Z, AXIS_X, rng)
-            assert np.linalg.norm(post.amplitudes) == pytest.approx(1.0, abs=1e-9)
+        post = np.kron(bell_vectors()[2], bell_vectors()[0])
+        for axis in (AXIS_Z, AXIS_X):
+            _, _, post = measure_pair(post, axis, rng)
+            assert np.linalg.norm(post) == pytest.approx(1.0, abs=1e-9)
+
+
+@st.composite
+def coherent_states(draw, max_pairs=6, max_ancilla=16):
+    """A random dense state of N pairs and an ancilla, N's axes and a seed."""
+    n = draw(st.integers(1, max_pairs))
+    anc = draw(st.integers(1, max_ancilla))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = stream(seed)
+    amps = rng.normal(size=4**n * anc) + 1j * rng.normal(size=4**n * anc)
+    return amps / np.linalg.norm(amps), (2,) * (2 * n) + (anc,), random_axes(n, rng), seed
+
+
+class TestPairKernel:
+    """The rotation kernel against the projector oracle in tests/reference.py."""
+
+    @settings(max_examples=60)
+    @given(coherent_states())
+    def test_session_matches_projector_oracle(self, case):
+        amps, dims, axes, seed = case
+        rng, oracle_rng = stream(seed, 1), stream(seed, 1)
+        rest, full = amps, amps
+        for t, axis in enumerate(axes):
+            rotated = rotate_pairs(rest.reshape(4, -1), axis[None, None])[0]
+            probs = np.einsum("rc,rc->r", rotated.conj(), rotated).real
+            a, b, rest = measure_pair(rest, axis, rng)
+            want_a, want_b, full, want_probs = reference.measure_pair(full, dims, t, axis,
+                                                                      oracle_rng)
+            assert (a, b) == (want_a, want_b)
+            assert np.allclose(probs, want_probs, rtol=0.0, atol=1e-12)
+            # the oracle's state is (measured pairs) (x) rest, up to a phase
+            measured = full.reshape(4 ** (t + 1), -1) @ rest.conj()
+            assert np.linalg.norm(measured) == pytest.approx(1.0, abs=1e-9)
+        assert rng.random() == oracle_rng.random()
+
+    @settings(max_examples=100)
+    @given(st.tuples(*[st.floats(-10.0, 10.0)] * 3).filter(lambda v: np.linalg.norm(v) > 1e-6))
+    @example((0.0, 0.0, 1.0))
+    @example((0.0, 0.0, -1.0))
+    @example((1.0, 0.0, 0.0))
+    @example((0.6, -0.8, 0.0))
+    def test_frame_rows_are_the_oracle_projectors(self, axis):
+        frame = spin_frames(axis)
+        for row, proj in zip(frame, spin_projectors(axis)):
+            assert np.allclose(np.outer(row.conj(), row), proj, rtol=0.0, atol=1e-12)
+        assert np.allclose(frame @ frame.conj().T, np.eye(2), rtol=0.0, atol=1e-12)
 
 
 class TestPartialTrace:
