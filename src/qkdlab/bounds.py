@@ -206,8 +206,7 @@ def eve_info_upper(n_pairs: int, eps: float, theta: float = 0.0) -> float:
     residual weight outside it.  Dominates the Holevo quantity of any
     coherent attack supported on the atypical subspace at matching (N, eps).
     """
-    if not 0.0 <= theta < math.inf:
-        raise ConfigError(f"theta must be nonnegative and finite, got {theta}")
+    check_theta(theta)
     _check_regime(n_pairs, eps)
     t = atypical_threshold(n_pairs, eps)
     return log2_int(atypical_count_exact(n_pairs, t)) + n_pairs * theta
@@ -225,6 +224,12 @@ def secrecy_lower_bound(eps: float, kprime: float = 10.0) -> float:
 
 
 def check_kprime(kprime: float) -> None:
-    """Raise ConfigError unless the secrecy-rate constant k' is positive."""
-    if not kprime > 0.0:
-        raise ConfigError(f"kprime must be positive, got {kprime}")
+    """Raise ConfigError unless the secrecy-rate constant k' is positive and finite."""
+    if not 0.0 < kprime < math.inf:
+        raise ConfigError(f"kprime must be positive and finite, got {kprime}")
+
+
+def check_theta(theta: float) -> None:
+    """Raise ConfigError unless the per-pair allowance theta is nonnegative and finite."""
+    if not 0.0 <= theta < math.inf:
+        raise ConfigError(f"theta must be nonnegative and finite, got {theta}")

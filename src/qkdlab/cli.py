@@ -4,7 +4,8 @@ Subcommands:
   simulate    run sessions (with optional attacks) and emit per-trial CSV
   bounds      evaluate the counting-bound chain and secrecy rate
   attack-eval evaluate a coherent attack state from a file
-  equivalence compare direct and pair-based protocol constructions
+  equivalence compare the direct and pair-based protocol constructions
+              exactly, with one sampled cross-check
 
 A scenario JSON file (``--scenario``) overrides flags field by field.
 All randomness derives from ``--seed`` through per-trial counter-based
@@ -36,6 +37,7 @@ from .bounds import (
     RegimeError,
     atypical_dim_chain,
     check_kprime,
+    check_theta,
     eve_info_upper,
     secrecy_lower_bound,
 )
@@ -323,7 +325,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "mean_leaked_bits": float(np.mean([r["leaked_bits"] for r in rows])),
         }
         with open(args.summary, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
+            json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
     if args.transcript and first_transcript is not None:
         first_transcript.write_jsonl(args.transcript)
@@ -332,6 +334,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     check_kprime(args.kprime)  # before --out is opened: no partial grid file
+    check_theta(args.theta)
     if args.grid_n or args.grid_eps:
         if not (args.grid_n and args.grid_eps and args.out):
             raise ConfigError("grid mode needs --grid-n, --grid-eps and --out")
@@ -375,9 +378,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_attack_eval(args: argparse.Namespace) -> int:
+    check_theta(args.theta)
     attack = _load_attack_file(args.attack_file)
     upper = None
-    if args.epsilon is not None:  # before sampling: a bad epsilon or theta does no work
+    if args.epsilon is not None:  # before sampling: a bad epsilon does no work
         upper = eve_info_upper(attack.n_pairs, args.epsilon, args.theta)
     rng = stream(args.seed)
     mean, stderr = axis_averaged_passing_probability(
@@ -420,7 +424,7 @@ def cmd_equivalence(args: argparse.Namespace) -> int:
 
 
 def _emit_json(payload: dict, path) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

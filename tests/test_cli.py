@@ -99,13 +99,17 @@ class TestConfigMistakes:
         ["attack-eval", "--attack-file", "ATTACK", "--m", "1", "--seed", "-1"],
         ["equivalence", "--seed", "-3"],
         ["simulate", "--kprime", "0"],
+        ["simulate", "--kprime", "inf"],
         ["bounds", "--n", "100", "--epsilon", "0.01", "--kprime", "0"],
         ["bounds", "--n", "100", "--epsilon", "0.01", "--kprime", "nan"],
+        ["bounds", "--n", "100", "--epsilon", "0.01", "--kprime", "inf"],
         ["simulate", "--n", "2000", "--m", "200", "--epsilon", "0.01",
          "--attack", "substitute:0.5", "--kprime", "0", "--trials", "2"],
         ["bounds", "--n", "100", "--epsilon", "0.01", "--theta", "-1"],
         ["bounds", "--n", "100", "--epsilon", "0.01", "--theta", "nan"],
         ["bounds", "--n", "100", "--epsilon", "0.01", "--theta", "inf"],
+        ["bounds", "--grid-n", "50", "--grid-eps", "0.01", "--out", "g.csv", "--theta", "nan"],
+        ["attack-eval", "--attack-file", "ATTACK", "--m", "1", "--theta", "nan"],
         ["attack-eval", "--attack-file", "ATTACK4", "--m", "1", "--epsilon", "0.2",
          "--theta", "nan"],
         ["simulate", "--c", "nan", "--threshold-mode", "window"],
@@ -116,7 +120,8 @@ class TestConfigMistakes:
         ["attack-eval", "--attack-file", "ATTACK", "--m", "1", "--axis-samples", "0"],
         *(["simulate", "--scenario", f"SCENARIO:{name}"] for name in SCENARIO_MISTAKES),
     ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv).replace("SCENARIO:", ""))
-    def test_exits_2(self, tmp_path, capsys, argv):
+    def test_exits_2(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
         argv = list(argv)
         for i, arg in enumerate(argv):
             if arg.startswith("ATTACK"):  # ATTACK<n> holds n pairs, ATTACK two
@@ -141,6 +146,8 @@ class TestConfigMistakes:
             ["attack-eval", "--attack-file", atk, "--m", "2", "--accept-hi", "5"],
             ["bounds", "--grid-n", "50,100", "--grid-eps", "0.3,0.01",
              "--out", str(grid), "--kprime", "0"],
+            ["bounds", "--grid-n", "50,100", "--grid-eps", "0.3,0.01",
+             "--out", str(grid), "--theta", "nan"],
         ):
             code, _, err = run_cli(argv, capsys)
             assert (code, "config error" in err) == (2, True), argv
@@ -236,6 +243,14 @@ class TestSimulateOutputs:
                         "--out", "grid.csv"], capsys)[0] == 0
         assert hashlib.sha256(Path("grid.csv").read_bytes()).hexdigest() == (
             "fd31265da410e7a45f4617474630af11dc8098090b0209b1177f3d6e10a3cd05")
+
+    def test_equivalence_output_pinned(self, capsys):
+        """The README equivalence command: exact distance and sampled counts."""
+        code, out, _ = run_cli(
+            ["equivalence", "--n", "30000", "--fidelity", "0.97", "--seed", "11"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "bc5ac9768613e1e7586d65a1f6663684a7f851444573e02f3a603ded05916408")
 
     @pytest.mark.parametrize("flags, digests", [
         ([], ("7c8805a63466fda57815fb308734806b188f2e85eed831ae2e729dcd69aa9675",
@@ -391,6 +406,13 @@ class TestEquivalence:
         assert run_cli(["equivalence", "--n", "10"], capsys)[0] == 2
 
 
+def strict_json(text):
+    """Parse JSON, refusing the NaN and Infinity that json.dumps writes by default."""
+    def refuse(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
 def readme_shell_steps():
     """Yield ("file", name, text) and ("run", argv) steps from README sh blocks."""
     for block in re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S):
@@ -407,15 +429,23 @@ def readme_shell_steps():
 class TestDocumentation:
     def test_readme_commands_run_as_written(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        ran = []
+        ran, json_outputs = [], 0
         for step in readme_shell_steps():
             if step[0] == "file":
                 Path(step[1]).write_text(step[2], encoding="utf-8")
             else:
-                code, _, err = run_cli(step[1], capsys)
-                assert code == 0, f"{' '.join(step[1])}: {err}"
-                ran.append(step[1][0])
+                argv = step[1]
+                code, out, err = run_cli(argv, capsys)
+                assert code == 0, f"{' '.join(argv)}: {err}"
+                ran.append(argv[0])
+                docs = [out] if out.startswith("{") else []
+                if "--summary" in argv:
+                    docs.append(Path(argv[argv.index("--summary") + 1]).read_text())
+                for doc in docs:
+                    strict_json(doc)
+                json_outputs += len(docs)
         assert sorted(set(ran)) == ["attack-eval", "bounds", "equivalence", "simulate"]
+        assert json_outputs == 4  # bounds, attack-eval and equivalence print; simulate writes
 
     def test_cli_import_does_not_load_scipy(self):
         env = dict(os.environ)

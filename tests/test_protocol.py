@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from qkdlab import protocol
 from qkdlab.adversary import (
     CoherentAttack,
     InterceptResend,
@@ -279,7 +282,7 @@ class TestEquivalence:
         assert rep.max_z <= 3.0
 
     def test_order_swap_agrees(self):
-        # the two pair-based orderings against each other, tighter sample
+        # a skewed basis choice and a noisier channel, tighter sample
         rep = epr_bb84_equivalence_check(50000, 0.9, 0.3, stream(529))
         assert rep.consistent
 
@@ -292,3 +295,33 @@ class TestEquivalence:
         d = rep.to_dict()
         assert set(d) >= {"n_samples", "max_z", "consistent"}
         assert d["n_samples"] == 2000
+
+    @settings(max_examples=40)
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(0, 2**32))
+    @example(0.97, 0.5, 22)
+    @example(0.97, 0.5, 26)
+    def test_exactly_equivalent(self, fidelity, omega, seed):
+        # the examples are seeds whose sampled z-score exceeds 3 at (30000, 0.97)
+        rep = epr_bb84_equivalence_check(30000, fidelity, omega, stream(seed))
+        assert rep.distance <= 1e-12
+        assert rep.consistent
+
+    def test_wrong_pauli_table_is_inconsistent(self, monkeypatch):
+        # the basis columns swapped: labels 1 and 3 flip the wrong basis
+        pauli_flips = protocol._pauli_flips
+        monkeypatch.setattr(protocol, "_pauli_flips",
+                            lambda labels, diag: pauli_flips(labels, 1 - diag))
+        rep = epr_bb84_equivalence_check(30000, 0.97, 0.5, stream(11))
+        assert rep.distance == pytest.approx(0.01)
+        assert not rep.consistent
+
+    def test_cross_check_draws_are_stable(self):
+        # the README seed: one multinomial per group, the direct table drawn first
+        rep = epr_bb84_equivalence_check(30000, 0.97, 0.5, stream(11))
+        assert sorted(rep.counts) == ["direct", "paired"]
+        assert rep.counts["direct"].tolist() == [
+            [[[3712, 70], [71, 3639]], [[1865, 1849], [1859, 1919]]],
+            [[[1963, 1799], [1861, 1938]], [[3622, 69], [71, 3693]]]]
+        assert rep.counts["paired"].tolist() == [
+            [[[3682, 61], [78, 3684]], [[1918, 1850], [1783, 1902]]],
+            [[[1908, 1895], [1845, 1943]], [[3649, 80], [83, 3639]]]]
