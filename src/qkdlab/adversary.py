@@ -13,7 +13,7 @@ Three attack families are modeled:
 For a test plan (which pairs are compared, along which axes, and how many
 parallel outcomes are tolerated) the module computes the exact passing
 probability, the attacker's ancilla state conditioned on passing, and the
-Holevo bound S(rho) on what she can learn from it.
+Holevo bound S(rho) on what she can learn from it (:func:`holevo_on_pass`).
 
 A test of the pairs S sees only their reduced state rho_S.  The scoring
 reshapes the attack state into a matrix X whose rows run over the tested
@@ -305,6 +305,8 @@ def _check_indices(indices: tuple[int, ...], n_pairs: int | None = None) -> None
 _BATCH_AMPLITUDES = 1 << 16
 # Whether a rotated pair index (2a + b for outcomes a, b) counts as parallel.
 _PARALLEL = np.array([1, 0, 0, 1])
+# Whether a Bell label is a non-singlet slot.
+_NONSINGLET = np.array([0, 1, 1, 1])
 
 
 def _tested_matrix(attack: CoherentAttack, indices: tuple[int, ...]) -> np.ndarray:
@@ -317,11 +319,11 @@ def _tested_matrix(attack: CoherentAttack, indices: tuple[int, ...]) -> np.ndarr
     return arr.reshape(4 ** len(indices), -1)
 
 
-def _parallel_counts(m: int) -> np.ndarray:
-    """Number of parallel outcomes of each rotated tested index, 0..4^m-1."""
+def _slot_counts(table: np.ndarray, m: int) -> np.ndarray:
+    """Per index 0..4^m-1 of m pair slots, ``table`` summed over its base-4 digits."""
     counts = np.zeros(1, dtype=np.int64)
     for _ in range(m):
-        counts = (counts[:, None] + _PARALLEL).reshape(-1)
+        counts = (counts[:, None] + table).reshape(-1)
     return counts
 
 
@@ -332,7 +334,7 @@ def _error_count_laws(x: np.ndarray, axes: np.ndarray) -> np.ndarray:
     # squared moduli summed along each row, read as (real, imaginary) float pairs
     parts = rotated.view(np.float64).reshape(rotated.shape[:2] + (-1,))
     probs = np.einsum("brc,brc->br", parts, parts)
-    return probs @ (_parallel_counts(m)[:, None] == np.arange(m + 1)).astype(float)
+    return probs @ (_slot_counts(_PARALLEL, m)[:, None] == np.arange(m + 1)).astype(float)
 
 
 def error_count_distribution(
@@ -419,7 +421,7 @@ def conditional_ancilla_state(attack: CoherentAttack, plan: TestPlan) -> Density
     anc = attack.ancilla_dim
     axes = np.asarray(plan.axes, dtype=float)[None]
     x = rotate_pairs(_tested_matrix(attack, plan.indices), axes)[0]
-    counts = _parallel_counts(len(plan.indices))
+    counts = _slot_counts(_PARALLEL, len(plan.indices))
     accum = np.zeros((anc, anc), dtype=complex)
     total = 0.0
     for errors in range(plan.accept_lo, plan.accept_hi + 1):
@@ -436,31 +438,28 @@ def eve_info_bound(rho: DensityMatrix) -> float:
     return von_neumann_entropy(rho)
 
 
+def holevo_on_pass(attack: CoherentAttack, plan: TestPlan) -> float | None:
+    """Holevo bound on the ancilla after the plan's test passes; None if it cannot pass."""
+    try:
+        return eve_info_bound(conditional_ancilla_state(attack, plan))
+    except ValueError:
+        return None
+
+
 def typicality_split(n_pairs: int, eps: float, state: QuantumState) -> tuple[float, float]:
     """Weights of ``state`` on the typical / atypical count subspaces.
 
     The atypical subspace is spanned by Bell-product vectors with fewer
     than T = ceil(2 N eps) non-singlet slots; weight on its complement is
     what an error-rate test at eps is statistically able to notice.  The
-    state may carry a trailing ancilla block, which is summed over.
+    state ends in an ancilla block, as attack states do, which is summed over.
     """
-    qubit_dims = (2,) * (2 * n_pairs)
-    if state.dims == qubit_dims:
-        arr = state.amplitudes.reshape((4,) * n_pairs + (1,))
-    elif state.dims[: 2 * n_pairs] == qubit_dims and len(state.dims) == 2 * n_pairs + 1:
-        arr = state.amplitudes.reshape((4,) * n_pairs + (state.dims[-1],))
-    else:
+    if state.dims[:-1] != (2,) * (2 * n_pairs):
         raise ConfigError(f"state factorization {state.dims} does not hold {n_pairs} pairs")
     t = atypical_threshold(n_pairs, eps)
-    weights = np.abs(_bell_transform(arr, n_pairs, to_bell=True)) ** 2
-    weights = weights.sum(axis=-1).reshape((4,) * n_pairs)
-    nonsinglet = np.array([0, 1, 1, 1])
-    counts = np.zeros((4,) * n_pairs, dtype=int)
-    for i in range(n_pairs):
-        shape = [1] * n_pairs
-        shape[i] = 4
-        counts = counts + nonsinglet.reshape(shape)
-    atypical = float(weights[counts < t].sum())
+    arr = state.amplitudes.reshape((4,) * n_pairs + (state.dims[-1],))
+    weights = (np.abs(_bell_transform(arr, n_pairs, to_bell=True)) ** 2).sum(axis=-1)
+    atypical = float(weights[_slot_counts(_NONSINGLET, n_pairs).reshape(weights.shape) < t].sum())
     return float(weights.sum() - atypical), atypical
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from .errors import ConfigError, RegimeError
 
@@ -128,7 +128,7 @@ class BoundReport:
     log2_l5: float
     mu: float
     implied_k: float
-    margin_vs_full_space: float = field(default=0.0)
+    margin_vs_full_space: float
 
     def chain_holds(self) -> bool:
         return (
@@ -139,24 +139,7 @@ class BoundReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "n_pairs": self.n_pairs,
-            "epsilon": self.epsilon,
-            "threshold": self.threshold,
-            "exact_count": self.exact_count,
-            "l1": self.l1,
-            "l2": self.l2,
-            "log2_exact": self.log2_exact,
-            "log2_l1": self.log2_l1,
-            "log2_l2": self.log2_l2,
-            "log2_l3": self.log2_l3,
-            "log2_l4": self.log2_l4,
-            "log2_l5": self.log2_l5,
-            "mu": self.mu,
-            "implied_k": self.implied_k,
-            "margin_vs_full_space": self.margin_vs_full_space,
-            "chain_holds": self.chain_holds(),
-        }
+        return {**asdict(self), "chain_holds": self.chain_holds()}
 
 
 def atypical_dim_chain(n_pairs: int, eps: float) -> BoundReport:
@@ -205,11 +188,15 @@ def eve_info_upper(n_pairs: int, eps: float, theta: float = 0.0) -> float:
     log2 of the exact atypical dimension plus an N*theta allowance for
     residual weight outside it.  Dominates the Holevo quantity of any
     coherent attack supported on the atypical subspace at matching (N, eps).
+    Raises ConfigError when theta is so large that the bound overflows.
     """
     check_theta(theta)
     _check_regime(n_pairs, eps)
     t = atypical_threshold(n_pairs, eps)
-    return log2_int(atypical_count_exact(n_pairs, t)) + n_pairs * theta
+    upper = log2_int(atypical_count_exact(n_pairs, t)) + n_pairs * theta
+    if not math.isfinite(upper):
+        raise ConfigError(f"theta {theta} overflows the bound over {n_pairs} pairs")
+    return upper
 
 
 def secrecy_lower_bound(eps: float, kprime: float = 10.0) -> float:

@@ -30,8 +30,7 @@ from .adversary import (
     SubstituteAttack,
     TestPlan,
     axis_averaged_passing_probability,
-    conditional_ancilla_state,
-    eve_info_bound,
+    holevo_on_pass,
 )
 from .bounds import (
     RegimeError,
@@ -50,6 +49,7 @@ from .protocol import (
     epr_bb84_equivalence_check,
     run_bb84_session,
     run_epr_session,
+    select_test_set,
 )
 from .qstate import random_axes
 from .rng import stream
@@ -65,6 +65,11 @@ CSV_COLUMNS = (
     "leaked_bits",
     "eve_holevo_bits",
 )
+
+# bounds grid CSV: BoundReport.to_dict() keys, the regime flag and the secrecy rate
+GRID_COLUMNS = ("n_pairs", "epsilon", "in_regime", "threshold", "log2_exact", "log2_l1",
+                "log2_l2", "log2_l3", "log2_l4", "log2_l5", "mu", "implied_k",
+                "chain_holds", "secrecy_lower_bound")
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qkdlab", description=__doc__.splitlines()[0])
@@ -211,6 +216,8 @@ def _resolve_channel(fidelity, epsilon) -> tuple[ChannelModel, float]:
 def _fmt(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -324,9 +331,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "mean_final_len": float(np.mean([r["final_len"] for r in rows])),
             "mean_leaked_bits": float(np.mean([r["leaked_bits"] for r in rows])),
         }
-        with open(args.summary, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
+        _emit_json(summary, args.summary)
     if args.transcript and first_transcript is not None:
         first_transcript.write_jsonl(args.transcript)
     return 0
@@ -335,7 +340,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_bounds(args: argparse.Namespace) -> int:
     check_kprime(args.kprime)  # before --out is opened: no partial grid file
     check_theta(args.theta)
-    if args.grid_n or args.grid_eps:
+    grid = bool(args.grid_n or args.grid_eps)
+    unread = {"--n": args.n, "--epsilon": args.epsilon, "--summary": args.summary,
+              "--theta": args.theta or None} if grid else {"--out": args.out}
+    stray = [flag for flag, value in unread.items() if value is not None]
+    if stray:
+        raise ConfigError(f"{'grid' if grid else 'single-point'} mode ignores {', '.join(stray)}")
+    if grid:
         if not (args.grid_n and args.grid_eps and args.out):
             raise ConfigError("grid mode needs --grid-n, --grid-eps and --out")
         try:
@@ -345,25 +356,17 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             raise ConfigError(f"bad grid value: {exc}") from exc
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["n_pairs", "epsilon", "in_regime", "threshold", "log2_exact",
-                 "log2_l1", "log2_l2", "log2_l3", "log2_l4", "log2_l5", "mu",
-                 "implied_k", "chain_holds", "secrecy_lower_bound"]
-            )
+            writer.writerow(GRID_COLUMNS)
             for n in ns:
                 for eps in epss:
                     try:
-                        rep = atypical_dim_chain(n, eps)
+                        report = atypical_dim_chain(n, eps)
                     except RegimeError:
-                        writer.writerow([n, repr(eps), "false"] + [""] * 11)
-                        continue
-                    writer.writerow(
-                        [n, repr(eps), "true", rep.threshold, repr(rep.log2_exact),
-                         repr(rep.log2_l1), repr(rep.log2_l2), repr(rep.log2_l3),
-                         repr(rep.log2_l4), repr(rep.log2_l5), repr(rep.mu),
-                         repr(rep.implied_k), str(rep.chain_holds()).lower(),
-                         repr(secrecy_lower_bound(eps, args.kprime))]
-                    )
+                        row = {"n_pairs": n, "epsilon": eps, "in_regime": False}
+                    else:
+                        row = {**report.to_dict(), "in_regime": True,
+                               "secrecy_lower_bound": secrecy_lower_bound(eps, args.kprime)}
+                    writer.writerow([_fmt(row.get(col)) for col in GRID_COLUMNS])
         return 0
     if args.n is None or args.epsilon is None:
         raise ConfigError("single-point mode needs --n and --epsilon")
@@ -392,14 +395,9 @@ def cmd_attack_eval(args: argparse.Namespace) -> int:
         accept=(args.accept_lo, args.accept_hi),
     )
     plan_rng = stream(args.seed, 1)
-    indices = tuple(
-        int(i) for i in np.sort(plan_rng.choice(attack.n_pairs, size=args.m, replace=False))
-    )
+    indices = tuple(int(i) for i in select_test_set(attack.n_pairs, args.m, plan_rng))
     plan = TestPlan(indices, random_axes(args.m, plan_rng), args.accept_lo, args.accept_hi)
-    try:
-        holevo = eve_info_bound(conditional_ancilla_state(attack, plan))
-    except ValueError:
-        holevo = None
+    holevo = holevo_on_pass(attack, plan)
     payload = {
         "n_pairs": attack.n_pairs,
         "ancilla_dim": attack.ancilla_dim,

@@ -10,8 +10,8 @@ number of parallel (erroneous) outcomes is inside the configured window.
 Because the axes are announced only after the acknowledgment, no attack
 interface in this module ever sees axis or basis information: attacks
 act on the delivered pairs (label substitution, or wholesale coherent
-preparation) before any axis exists.  The ordered ``events`` tuple on the
-transcript records this.
+preparation) before any axis exists.  Each transcript's ``events`` tuple is
+its protocol's fixed step order, ``EPR_EVENTS`` or ``BB84_EVENTS``.
 
 Prepare-and-measure session (``run_bb84_session``): Alice sends photons
 polarized in the rectilinear basis with probability 1 - omega and the
@@ -43,8 +43,7 @@ from .adversary import (
     InterceptResend,
     SubstituteAttack,
     TestPlan,
-    conditional_ancilla_state,
-    eve_info_bound,
+    holevo_on_pass,
     substitute_pairs,
 )
 from .channel import ChannelModel
@@ -254,7 +253,6 @@ def run_epr_session(
     """
     _check_attack("epr", attack)
     n, m = config.n_pairs, config.test_size
-    events = ["prepared", "delivered"]
 
     coherent = isinstance(attack, CoherentAttack)
     if coherent:
@@ -267,9 +265,7 @@ def run_epr_session(
         if isinstance(attack, SubstituteAttack):
             labels, _ = substitute_pairs(labels, attack.fraction, attack.label_weights, rng)
 
-    events.append("acknowledged")
     axes = random_axes(n, rng)
-    events.append("axes_announced")
 
     if coherent:
         outcome_a = np.empty(n, dtype=np.uint8)
@@ -279,27 +275,20 @@ def run_epr_session(
             outcome_a[t], outcome_b[t], rest = measure_pair(rest, axes[t], rng)
     else:
         outcome_a, outcome_b = channel_mod.sample_common_axis_outcomes(labels, axes, rng)
-    events.append("measured")
 
     test_idx = select_test_set(n, m, rng)
-    events.append("test_set_announced")
     in_test = np.zeros(n, dtype=bool)
     in_test[test_idx] = True
     errors = int((outcome_a[test_idx] == outcome_b[test_idx]).sum())
-    events.append("results_compared")
 
     lo, hi = accepted_count_interval(config, m)
     verdict = "accepted" if lo <= errors <= hi else "rejected"
-    events.append("verdict")
 
     keep = ~in_test
     eve_holevo = None
     if coherent:
         plan = TestPlan(tuple(int(i) for i in test_idx), axes[test_idx], lo, hi)
-        try:
-            eve_holevo = eve_info_bound(conditional_ancilla_state(attack, plan))
-        except ValueError:
-            eve_holevo = None
+        eve_holevo = holevo_on_pass(attack, plan)
 
     return Transcript(
         protocol="epr",
@@ -313,7 +302,7 @@ def run_epr_session(
         sifted=np.ones(n, dtype=bool),
         sifted_key_a=outcome_a[keep].astype(np.uint8),
         sifted_key_b=(1 - outcome_b[keep]).astype(np.uint8),
-        events=tuple(events),
+        events=EPR_EVENTS,
         axes=axes,
         eve_holevo_bits=eve_holevo,
     )
@@ -351,35 +340,26 @@ def run_bb84_session(
 
     basis_a = (rng.random(n) < omega).astype(np.uint8)
     bits_a = rng.integers(0, 2, size=n, dtype=np.uint8)
-    events = ["prepared", "delivered"]
 
     labels = channel.sample_labels(n, rng)
     arrival = bits_a ^ _pauli_flips(labels, basis_a).astype(np.uint8)
 
     basis_b = (rng.random(n) < omega).astype(np.uint8)
-    eve_bits = None
+    # whoever sent Bob's photon: Alice, or Eve resending what she measured
+    sender_basis, sender_bits, eve_bits = basis_a, arrival, None
     if isinstance(attack, InterceptResend):
-        if attack.policy == "rectilinear":
-            eve_basis = np.zeros(n, dtype=np.uint8)
-        elif attack.policy == "diagonal":
-            eve_basis = np.ones(n, dtype=np.uint8)
+        if attack.policy == "random":
+            sender_basis = rng.integers(0, 2, size=n, dtype=np.uint8)
         else:
-            eve_basis = rng.integers(0, 2, size=n, dtype=np.uint8)
-        eve_bits = np.where(
-            eve_basis == basis_a, arrival, rng.integers(0, 2, size=n, dtype=np.uint8)
+            sender_basis = np.full(n, attack.policy == "diagonal", dtype=np.uint8)
+        sender_bits = eve_bits = np.where(
+            sender_basis == basis_a, arrival, rng.integers(0, 2, size=n, dtype=np.uint8)
         ).astype(np.uint8)
-        outcome_b = np.where(
-            basis_b == eve_basis, eve_bits, rng.integers(0, 2, size=n, dtype=np.uint8)
-        ).astype(np.uint8)
-    else:
-        outcome_b = np.where(
-            basis_b == basis_a, arrival, rng.integers(0, 2, size=n, dtype=np.uint8)
-        ).astype(np.uint8)
-    events.append("measured")
-    events.append("bases_announced")
+    outcome_b = np.where(
+        basis_b == sender_basis, sender_bits, rng.integers(0, 2, size=n, dtype=np.uint8)
+    ).astype(np.uint8)
 
     matched = basis_a == basis_b
-    events.append("sifted")
 
     diag_matched = np.flatnonzero(matched & (basis_a == 1))
     rect_matched = np.flatnonzero(matched & (basis_a == 0))
@@ -402,15 +382,12 @@ def run_bb84_session(
     in_test = np.zeros(n, dtype=bool)
     in_test[diag_test] = True
     in_test[rect_test] = True
-    events.append("test_set_announced")
 
     m_t = int(in_test.sum())
     errors = int((bits_a[in_test] != outcome_b[in_test]).sum())
-    events.append("results_compared")
 
     lo, hi = accepted_count_interval(config, m_t)
     verdict = "accepted" if lo <= errors <= hi else "rejected"
-    events.append("verdict")
 
     keep = matched & ~in_test
     return Transcript(
@@ -425,7 +402,7 @@ def run_bb84_session(
         sifted=matched,
         sifted_key_a=bits_a[keep].astype(np.uint8),
         sifted_key_b=outcome_b[keep].astype(np.uint8),
-        events=tuple(events),
+        events=BB84_EVENTS,
         basis_a=basis_a,
         basis_b=basis_b,
         eve_bits=eve_bits,

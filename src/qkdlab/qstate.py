@@ -75,10 +75,6 @@ class QuantumState:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", dims)
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
     def tensor(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per subsystem (read-only view)."""
         return self.amplitudes.reshape(self.dims)
@@ -234,21 +230,8 @@ def partial_trace(rho: DensityMatrix, keep: tuple[int, ...]) -> DensityMatrix:
 
 
 def reduced_density(state: QuantumState, keep: tuple[int, ...]) -> DensityMatrix:
-    """Reduced density matrix of a pure state on the ``keep`` subsystems.
-
-    Avoids forming the full |psi><psi| outer product.
-    """
-    k = len(state.dims)
-    keep_sorted = tuple(sorted(set(int(i) for i in keep)))
-    if not keep_sorted or keep_sorted[0] < 0 or keep_sorted[-1] >= k:
-        raise ValueError(f"keep indices must be a nonempty subset of 0..{k - 1}")
-    arr = state.tensor()
-    keep_set = set(keep_sorted)
-    bra = [i if i not in keep_set else k + i for i in range(k)]
-    out = [i for i in keep_sorted] + [k + i for i in keep_sorted]
-    red = np.einsum(arr, list(range(k)), arr.conj(), bra, out)
-    d = math.prod(state.dims[i] for i in keep_sorted)
-    return DensityMatrix(red.reshape(d, d), tuple(state.dims[i] for i in keep_sorted))
+    """Reduced density matrix of a pure state on the ``keep`` subsystems."""
+    return partial_trace(density(state), keep)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

@@ -112,6 +112,13 @@ class TestConfigMistakes:
         ["attack-eval", "--attack-file", "ATTACK", "--m", "1", "--theta", "nan"],
         ["attack-eval", "--attack-file", "ATTACK4", "--m", "1", "--epsilon", "0.2",
          "--theta", "nan"],
+        ["bounds", "--n", "100", "--epsilon", "0.01", "--theta", "1e308"],
+        ["attack-eval", "--attack-file", "ATTACK4", "--m", "1", "--epsilon", "0.2",
+         "--theta", "1e308"],
+        *(["bounds", "--grid-n", "50", "--grid-eps", "0.01", "--out", "g.csv", *stray]
+          for stray in (["--n", "7"], ["--epsilon", "0.01"], ["--summary", "s.json"],
+                        ["--theta", "0.1"])),
+        ["bounds", "--n", "100", "--epsilon", "0.01", "--out", "g.csv"],
         ["simulate", "--c", "nan", "--threshold-mode", "window"],
         ["simulate", "--c", "inf", "--threshold-mode", "window"],
         ["simulate", "--attack-file", "ATTACK"],
@@ -148,6 +155,8 @@ class TestConfigMistakes:
              "--out", str(grid), "--kprime", "0"],
             ["bounds", "--grid-n", "50,100", "--grid-eps", "0.3,0.01",
              "--out", str(grid), "--theta", "nan"],
+            ["bounds", "--grid-n", "50,100", "--grid-eps", "0.3,0.01",
+             "--out", str(grid), "--summary", str(tmp_path / "s.json")],
         ):
             code, _, err = run_cli(argv, capsys)
             assert (code, "config error" in err) == (2, True), argv
@@ -243,6 +252,62 @@ class TestSimulateOutputs:
                         "--out", "grid.csv"], capsys)[0] == 0
         assert hashlib.sha256(Path("grid.csv").read_bytes()).hexdigest() == (
             "fd31265da410e7a45f4617474630af11dc8098090b0209b1177f3d6e10a3cd05")
+
+    def test_out_of_regime_grid_pinned(self, tmp_path, capsys):
+        """A bounds grid whose rows fall outside the regime in both N and eps."""
+        grid = tmp_path / "grid.csv"
+        assert run_cli(["bounds", "--grid-n", "3,50,100", "--grid-eps", "0.3,0.01,0.1",
+                        "--out", str(grid)], capsys)[0] == 0
+        assert [r["in_regime"] for r in csv.DictReader(io.StringIO(grid.read_text()))] == (
+            ["false"] * 4 + ["true", "true", "false", "true", "true"])
+        assert hashlib.sha256(grid.read_bytes()).hexdigest() == (
+            "bd0da3e0f3a868607bcb307055d8f02e894231005b62474497a0feeda3e82a29")
+
+    @pytest.mark.parametrize("policy, digests", [
+        ("random", ("22ef71dd58e51f8666b6980ed3210c8f64d773c88b0e669d29f918aac5b5a6ee",
+                    "d2de22a49061b41c8eb5859b444180811950a37224dc27953ba01b65e92b6c72",
+                    "8328daad163be144190083695996f2bcd08213703fce7cb6b6a98b8677b4b48c")),
+        ("rectilinear", ("9935cde5a5f96b41c92cbf3fb0b4628518c1f9782c1485b1c2c1ff9426f1e5bc",
+                         "0eae15b8560e14fef703599fe79d6fcbc03c2cf8bd22c1f5b96ac4234402f00a",
+                         "00557436f39b89db8473d83be2f9170924746de212cc3ac57066d65269bb50c7")),
+        ("diagonal", ("328a02e6508cbe7cad82c192dad82d9de60a7a9bb913b82fab5d788fbae6c514",
+                      "3b66cb67c319c9f20a539b0c70ab55516323030fcea0a9d6c427268d286c07a6",
+                      "941595f4731ebc002adba7facf5040676ef77e6bf6c821c7dd6b997dadbc857d")),
+    ])
+    def test_intercept_resend_outputs_pinned(self, tmp_path, capsys, policy, digests):
+        """BB84 under each intercept-resend policy: CSV, summary and transcript digests."""
+        paths = [tmp_path / name for name in ("x.csv", "s.json", "t.jsonl")]
+        assert run_cli(["simulate", "--protocol", "bb84", "--n", "300", "--epsilon", "0.02",
+                        "--attack", f"intercept_resend:{policy}", "--trials", "3",
+                        "--seed", "8", "--out", str(paths[0]), "--summary", str(paths[1]),
+                        "--transcript", str(paths[2])], capsys)[0] == 0
+        assert tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths) == digests
+
+    def test_unpassable_test_leaves_holevo_empty(self, tmp_path, monkeypatch, capsys):
+        """A test the all-singlet attack cannot pass has no conditional ancilla state:
+        attack-eval prints null and the simulate column stays empty."""
+        monkeypatch.chdir(tmp_path)
+        atk4 = write_attack_file(tmp_path / "atk4.txt", 4)
+        atk2 = write_attack_file(tmp_path / "atk2.txt", 2)
+        code, out, _ = run_cli(["attack-eval", "--attack-file", atk4, "--m", "2",
+                                "--epsilon", "0.2", "--accept-lo", "2", "--accept-hi", "2",
+                                "--axis-samples", "50", "--seed", "3"], capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert (data["holevo_bits_sample_plan"], data["holevo_within_upper"]) == (None, None)
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "d761db4df4ca85650cdfcc5756122383155f7ec5b8bf609b8d18f8b5be0c1041")
+        # the window [1, 1] needs one error; singlets never err
+        assert run_cli(["simulate", "--n", "2", "--m", "2", "--epsilon", "0.5",
+                        "--threshold-mode", "window", "--attack", "coherent",
+                        "--attack-file", atk2, "--trials", "2", "--out", "sim.csv",
+                        "--summary", "sim.json"], capsys)[0] == 0
+        rows = list(csv.DictReader(io.StringIO(Path("sim.csv").read_text())))
+        assert [(r["verdict"], r["eve_holevo_bits"]) for r in rows] == [("rejected", "")] * 2
+        assert tuple(hashlib.sha256(Path(p).read_bytes()).hexdigest()
+                     for p in ("sim.csv", "sim.json")) == (
+            "d0aed38cf50e56d4f4b1a8e4f81d059aec3a5d3abb221decf22fc7067d88c739",
+            "1318661d53d51aa7ad0692ff943de85a5eb6090b697ae9c265cc4e964ce4527f")
 
     def test_equivalence_output_pinned(self, capsys):
         """The README equivalence command: exact distance and sampled counts."""
@@ -518,6 +583,28 @@ class TestBenchmarkBindings:
                               "--attack", "coherent", "--attack-file", atk,
                               "--trials", "3"], capsys)
         assert (code, len(calls)) == (0, 4 * 3)
+
+    def test_holevo_value_goes_through_adversary_globals(self, tmp_path, monkeypatch, capsys):
+        """The benchmark traces the conditional state and its Holevo bound where
+        adversary looks them up, for a coherent session and for attack-eval."""
+        import qkdlab.adversary
+
+        calls = {"conditional_ancilla_state": 0, "eve_info_bound": 0}
+        for name in calls:
+            def counting(*args, _name=name, _fn=getattr(qkdlab.adversary, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(f"qkdlab.adversary.{name}", counting)
+        atk = write_attack_file(tmp_path / "atk.txt", 4)
+        for argv in (
+            ["simulate", "--n", "4", "--m", "2", "--epsilon", "0.2", "--attack", "coherent",
+             "--attack-file", atk, "--trials", "3"],
+            ["attack-eval", "--attack-file", atk, "--m", "2", "--axis-samples", "5"],
+        ):
+            calls.update(dict.fromkeys(calls, 0))
+            assert run_cli(argv, capsys)[0] == 0
+            assert min(calls.values()) > 0, (argv[0], calls)
 
     def test_distill_key_is_looked_up_in_cli(self):
         import qkdlab.cli
