@@ -10,8 +10,8 @@ exact dimension and the chain of increasingly generous closed-form bounds
     exact <= L1 <= L2 <= L3 <= L4 = L5,
 
     L1 = sum_{a,b,c < T} C(N,a) C(N-a,b) C(N-a-b,c)
-    L2 = T^3 C(N,T)^3
-    L3 = T^3 2^(3 N H(T/N))
+    L2 = T^3 C(N,T-1)^3
+    L3 = T^3 2^(3 N H((T-1)/N))
     L4 = 2^(N (6 H(eps) + mu)),   mu = 3 log2(T^3) / N
     L5 = 2^(-N k eps log2 eps)    for the implied k making L5 >= L4,
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -71,7 +72,9 @@ GRID_COLUMNS = ("n_pairs", "epsilon", "in_regime", "threshold", "log2_exact", "l
                 "log2_l2", "log2_l3", "log2_l4", "log2_l5", "mu", "implied_k",
                 "chain_holds", "secrecy_lower_bound")
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="qkdlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -96,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--summary", default=None, help="summary JSON path")
     sim.add_argument("--transcript", default=None, help="JSONL transcript of trial 0")
     sim.add_argument("--scenario", default=None, help="JSON file overriding flags")
-    sim.set_defaults(func=cmd_simulate)
 
     bnd = sub.add_parser("bounds", help="counting bounds and secrecy rate")
     bnd.add_argument("--n", type=int, default=None)
@@ -107,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     bnd.add_argument("--grid-eps", dest="grid_eps", default=None, help="comma list of eps values")
     bnd.add_argument("--out", default=None, help="CSV path for grid mode")
     bnd.add_argument("--summary", default=None)
-    bnd.set_defaults(func=cmd_bounds)
 
     atk = sub.add_parser("attack-eval", help="evaluate a coherent attack file")
     atk.add_argument("--attack-file", dest="attack_file", required=True)
@@ -119,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     atk.add_argument("--accept-lo", dest="accept_lo", type=int, default=0)
     atk.add_argument("--accept-hi", dest="accept_hi", type=int, default=0)
     atk.add_argument("--summary", default=None)
-    atk.set_defaults(func=cmd_attack_eval)
 
     eqv = sub.add_parser("equivalence", help="direct vs pair-based construction")
     eqv.add_argument("--n", type=int, default=20000)
@@ -127,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     eqv.add_argument("--omega", type=float, default=0.5)
     eqv.add_argument("--seed", type=int, default=0)
     eqv.add_argument("--summary", default=None)
-    eqv.set_defaults(func=cmd_equivalence)
     return parser
 
 
@@ -431,10 +430,17 @@ def _emit_json(payload: dict, path) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up on each call, not stored in the cached parser, so the
+    # handlers are the module's current ones
+    handler = {
+        "simulate": cmd_simulate,
+        "bounds": cmd_bounds,
+        "attack-eval": cmd_attack_eval,
+        "equivalence": cmd_equivalence,
+    }[args.command]
     try:
-        return args.func(args)
+        return handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

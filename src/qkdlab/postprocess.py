@@ -186,17 +186,23 @@ def distill_key(
     rng: np.random.Generator,
     kprime: float = 10.0,
 ) -> DistillationResult:
-    """Reconcile, measure leakage, and privacy-amplify a sifted key pair."""
+    """Reconcile, measure leakage, and privacy-amplify a sifted key pair.
+
+    Both keys go through the same Toeplitz map, so when reconciliation
+    leaves Bob's key equal to Alice's it is hashed once and both final
+    keys are that one hash.
+    """
     a = np.asarray(key_a, dtype=np.uint8)
     corrected, leaked = reconcile(a, key_b, rng, qber_hint=qber_estimate)
     n_final = final_key_length(a.size, qber_estimate, leaked, kprime)
     hash_seed = int(rng.integers(0, 2**63))
-    final_a = privacy_amplify(a, n_final, hash_seed)
-    final_b = privacy_amplify(corrected, n_final, hash_seed)
+    equal = bool(np.array_equal(a, corrected))
+    key_a_hex = bits_to_hex(privacy_amplify(a, n_final, hash_seed))
+    key_b_hex = key_a_hex if equal else bits_to_hex(privacy_amplify(corrected, n_final, hash_seed))
     return DistillationResult(
-        key_a_hex=bits_to_hex(final_a),
-        key_b_hex=bits_to_hex(final_b),
+        key_a_hex=key_a_hex,
+        key_b_hex=key_b_hex,
         final_length=n_final,
         leaked_bits=leaked,
-        reconciled_equal=bool(np.array_equal(a, corrected)),
+        reconciled_equal=equal,
     )

@@ -201,7 +201,7 @@ class Transcript:
                 block = slice(lo, lo + TRANSCRIPT_BLOCK)
                 if self.axes is not None:
                     basis_a = basis_b = [
-                        "[" + ", ".join(map(repr, v)) + "]" for v in self.axes[block].tolist()
+                        f"[{x!r}, {y!r}, {z!r}]" for x, y, z in self.axes[block].tolist()
                     ]
                 else:
                     basis_a = [_JSON_BASIS[x] for x in self.basis_a[block].tolist()]

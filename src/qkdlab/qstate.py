@@ -42,13 +42,14 @@ AXIS_X.setflags(write=False)
 def random_axes(n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n`` axes uniformly on the sphere, returned as an (n, 3) array."""
     v = rng.normal(size=(n, 3))
-    norms = np.linalg.norm(v, axis=1)
-    bad = norms < 1e-12
-    while np.any(bad):
-        v[bad] = rng.normal(size=(int(bad.sum()), 3))
-        norms = np.linalg.norm(v, axis=1)
+    while True:
+        # the squares summed in np.linalg.norm(v, axis=1)'s order, so the
+        # same bits, without its strided reduction
+        norms = np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2])
         bad = norms < 1e-12
-    return v / norms[:, None]
+        if not bad.any():
+            return v / norms[:, None]
+        v[bad] = rng.normal(size=(int(bad.sum()), 3))
 
 
 @dataclass(frozen=True, eq=False)

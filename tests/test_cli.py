@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import qkdlab
-from qkdlab.cli import CSV_COLUMNS, main
+from qkdlab.cli import CSV_COLUMNS, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -167,6 +167,59 @@ class TestConfigMistakes:
         scen.write_text(json.dumps({"n": 200, "m": 20, "epsilon": 0, "kprime": 5,
                                     "threshold_mode": "window", "fidelity": None}))
         assert run_cli(["simulate", "--scenario", str(scen)], capsys)[0] == 0
+
+
+def src_env():
+    """The environment with this qkdlab's ``src`` first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(qkdlab.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def fresh_process_output(argv):
+    """Standard output of ``python -m qkdlab`` in a new interpreter."""
+    done = subprocess.run([sys.executable, "-m", "qkdlab", *argv], env=src_env(),
+                          capture_output=True, text=True, check=True)
+    return done.stdout
+
+
+class TestCachedParser:
+    """One parser serves every main() call of a process."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_flags_do_not_leak_between_calls(self, tmp_path, monkeypatch, capsys):
+        point = ["bounds", "--n", "100", "--epsilon", "0.01"]
+        assert run_cli([*point, "--theta", "0.5"], capsys)[0] == 0
+        code, out, _ = run_cli(point, capsys)
+        assert code == 0
+        assert out == fresh_process_output(point)
+
+        monkeypatch.chdir(tmp_path)
+        sim = ["simulate", "--n", "200", "--m", "20", "--epsilon", "0.02", "--kprime", "5"]
+        assert run_cli([*sim, "--summary", "s.json"], capsys)[0] == 0
+        os.remove("s.json")
+        assert run_cli(sim, capsys)[0] == 0
+        assert os.listdir(".") == []
+
+    def test_scenario_checks_types_through_the_shared_parser(self, tmp_path, capsys):
+        build_parser()
+        built = build_parser.cache_info().misses
+        scen = tmp_path / "scen.json"
+        for fields, want in (({"n": "200"}, 2), ({"n": 200, "m": 20, "kprime": 5}, 0)):
+            scen.write_text(json.dumps(fields))
+            assert run_cli(["simulate", "--scenario", str(scen)], capsys)[0] == want
+        assert build_parser.cache_info().misses == built
+
+    def test_handlers_are_looked_up_per_call(self, monkeypatch, capsys):
+        """A handler patched after the parser exists still runs, as tracing needs."""
+        build_parser()
+        seen = []
+        monkeypatch.setattr("qkdlab.cli.cmd_equivalence", lambda args: seen.append(args.n) or 0)
+        assert run_cli(["equivalence", "--n", "123"], capsys)[0] == 0
+        assert seen == [123]
 
 
 class TestSimulateOutputs:
@@ -513,11 +566,8 @@ class TestDocumentation:
         assert json_outputs == 4  # bounds, attack-eval and equivalence print; simulate writes
 
     def test_cli_import_does_not_load_scipy(self):
-        env = dict(os.environ)
-        src = str(Path(qkdlab.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         probe = "import sys, qkdlab.cli; sys.exit('scipy' in sys.modules)"
-        assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+        assert subprocess.run([sys.executable, "-c", probe], env=src_env()).returncode == 0
 
 
 def _load_bench_module(name):

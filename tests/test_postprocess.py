@@ -236,3 +236,40 @@ class TestDistillKey:
         res = distill_key(a, b, 0.02, stream(615), kprime=10.0)
         assert res.final_length == 0
         assert res.key_a_hex == "" and res.keys_equal
+
+    @staticmethod
+    def count_amplify(monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return privacy_amplify(*args, **kwargs)
+
+        monkeypatch.setattr("qkdlab.postprocess.privacy_amplify", counting)
+        return calls
+
+    def test_equal_keys_hashed_once(self, monkeypatch):
+        calls = self.count_amplify(monkeypatch)
+        a, b = noisy_pair(4096, 0.02, stream(612))
+        res = distill_key(a, b, 0.02, stream(613), kprime=5.0)
+        assert res.reconciled_equal and res.final_length > 0
+        assert len(calls) == 1
+        assert res.key_b_hex == res.key_a_hex
+
+    def test_unequal_keys_hash_bobs_key(self, monkeypatch):
+        # two flips under a zero estimate: the whole-key block has even
+        # parity, so reconciliation leaves both errors in place
+        a = stream(616).integers(0, 2, size=256, dtype=np.uint8)
+        b = a.copy()
+        b[[3, 200]] ^= 1
+        calls = self.count_amplify(monkeypatch)
+        res = distill_key(a, b, 0.0, stream(617))
+        replay = stream(617)
+        corrected, leaked = reconcile(a, b, replay, qber_hint=0.0)
+        hash_seed = int(replay.integers(0, 2**63))
+        assert np.array_equal(corrected, b) and leaked == res.leaked_bits
+        assert len(calls) == 2
+        assert not res.reconciled_equal and res.final_length > 0
+        assert res.key_b_hex == bits_to_hex(privacy_amplify(corrected, res.final_length, hash_seed))
+        assert res.key_a_hex == bits_to_hex(privacy_amplify(a, res.final_length, hash_seed))
+        assert res.key_b_hex != res.key_a_hex

@@ -103,6 +103,33 @@ class TestMeasurementAxis:
         assert np.all(np.abs(axes.mean(axis=0)) < 3 * np.sqrt(1 / 3 / 20000))
 
 
+class TestRandomAxes:
+    @settings(max_examples=40)
+    @given(st.integers(1, 3000), st.integers(0, 2**63))
+    @example(100_000, 0)
+    def test_rows_are_the_stream_normals_over_their_norms(self, n, seed):
+        v = stream(seed).normal(size=(n, 3))
+        expected = v / np.linalg.norm(v, axis=1)[:, None]
+        assert random_axes(n, stream(seed)).tobytes() == expected.tobytes()
+
+    def test_zero_row_is_redrawn(self):
+        class Draws:
+            def __init__(self):
+                self.sizes = []
+                self.draws = [np.array([[3.0, 0.0, 4.0], [0.0, 0.0, 0.0], [0.0, 2.0, 0.0]]),
+                              np.array([[0.0, 0.0, 0.0]]),
+                              np.array([[1.0, 2.0, 2.0]])]
+
+            def normal(self, size):
+                self.sizes.append(size)
+                return self.draws.pop(0)
+
+        rng = Draws()
+        axes = random_axes(3, rng)
+        assert rng.sizes == [(3, 3), (1, 3), (1, 3)]
+        assert np.array_equal(axes, [[0.6, 0.0, 0.8], [1 / 3, 2 / 3, 2 / 3], [0.0, 1.0, 0.0]])
+
+
 class TestSpinProjectors:
     def test_z_axis(self):
         up, down = spin_projectors(AXIS_Z)
