@@ -7,6 +7,10 @@ seeded Toeplitz hash to the length the secrecy-rate bound permits after
 subtracting the leakage:
 
     final length = floor(n_raw * max(0, 1 + k' eps log2 eps)) - leaked.
+
+Reconciliation is simulated on the positions where the keys disagree:
+each pass draws only where its shuffle sends them, which has the same
+law as drawing the whole shuffle.
 """
 
 from __future__ import annotations
@@ -69,6 +73,15 @@ def reconcile(
     size and n // 16.  The loop stops after four consecutive passes find
     no mismatched block, or after MAX_PASSES passes.
     Returns (corrected key, leaked bits).
+
+    The simulation follows only the d current disagreements.  A pass's
+    parities, bisection path, flipped bit and leak depend on its
+    permutation only through where it sends those d positions, and under
+    a uniform permutation their images are a uniform injective map into
+    range(n): the law of ``rng.choice(n, d, replace=False)``, drawn in
+    O(d) rather than O(n).  So a pass with d > 0 makes exactly that one
+    draw, its i-th image being that of the i-th smallest disagreeing
+    position, and a pass with d = 0 draws nothing.
     """
     a = np.asarray(key_a, dtype=np.uint8)
     b = np.asarray(key_b, dtype=np.uint8)
@@ -80,20 +93,21 @@ def reconcile(
     q = 0.05 if qber_hint is None else max(float(qber_hint), 0.0)
     block = n if q <= 0.0 else min(n, max(2, math.ceil(min(0.73 / q, n))))
     block_cap = max(block, n // 16)
-    diff = a ^ b
-    # px[i] is the parity of the first i permuted disagreements, so the
-    # parity of any permuted range [lo, hi) is px[hi] ^ px[lo]
-    px = np.zeros(n + 1, dtype=np.uint8)
+    wrong = np.flatnonzero(a != b)  # sorted positions of the disagreements
     leaked = 0
     clean = 0
     for _ in range(MAX_PASSES):
-        perm = rng.permutation(n)
-        np.bitwise_xor.accumulate(diff[perm], out=px[1:])
-        lo = np.arange(0, n, block)
-        hi = np.minimum(lo + block, n)
-        leaked += lo.size
-        odd = px[hi] != px[lo]
-        if not odd.any():
+        leaked += -(-n // block)  # one parity per block
+        lo = wrong[:0]  # the start of each odd block; none without disagreements
+        if wrong.size:
+            img = rng.choice(n, wrong.size, replace=False)
+            order = np.argsort(img)
+            img = img[order]
+            # the parity of a permuted range [lo, hi) is the parity of the
+            # number of images in it, so a block is odd when it holds an
+            # odd number of them
+            lo = np.flatnonzero(np.bincount(img // block) & 1) * block
+        if lo.size == 0:
             clean += 1
             if clean >= 4:
                 break
@@ -102,16 +116,19 @@ def reconcile(
             # the blocks are disjoint and nothing flips until every search
             # ends, so all odd blocks bisect together, one level per step;
             # a finished block (hi - lo == 1) has mid == lo and stays put
-            lo, hi = lo[odd], hi[odd]
+            hi = np.minimum(lo + block, n)
             while (steps := int(np.count_nonzero(hi - lo > 1))) > 0:
                 leaked += steps
                 mid = (lo + hi) // 2
-                left = px[mid] != px[lo]
+                left = (np.searchsorted(img, mid) - np.searchsorted(img, lo)) & 1 == 1
                 hi = np.where(left, mid, hi)
                 lo = np.where(left, lo, mid)
-            diff[perm[lo]] ^= 1
+            # each search ends on an image; its disagreement is corrected
+            wrong = np.delete(wrong, order[np.searchsorted(img, lo)])
         block = min(block_cap, 2 * block)
-    return a ^ diff, leaked
+    out = a.copy()
+    out[wrong] ^= 1
+    return out, leaked
 
 
 def privacy_amplify(key_bits, output_length: int, hash_seed: int) -> np.ndarray:
@@ -158,25 +175,34 @@ def final_key_length(n_raw: int, eps: float, leaked_bits: int, kprime: float = 1
 
 def bits_to_hex(bits) -> str:
     """Pack a bit array (most significant bit first) into lowercase hex."""
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.size == 0:
-        return ""
-    return np.packbits(arr).tobytes().hex()
+    return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes().hex()
 
 
 @dataclass(frozen=True)
 class DistillationResult:
-    """Final keys and accounting from one reconciliation + amplification run."""
+    """Final keys and accounting from one reconciliation + amplification run.
 
-    key_a_hex: str
-    key_b_hex: str
+    The final keys are packed, most significant bit first, as by
+    ``bits_to_hex``; equal keys are one shared object.
+    """
+
+    key_a: bytes
+    key_b: bytes
     final_length: int
     leaked_bits: int
     reconciled_equal: bool
 
     @property
+    def key_a_hex(self) -> str:
+        return self.key_a.hex()
+
+    @property
+    def key_b_hex(self) -> str:
+        return self.key_b.hex()
+
+    @property
     def keys_equal(self) -> bool:
-        return self.key_a_hex == self.key_b_hex
+        return self.key_a == self.key_b
 
 
 def distill_key(
@@ -197,11 +223,13 @@ def distill_key(
     n_final = final_key_length(a.size, qber_estimate, leaked, kprime)
     hash_seed = int(rng.integers(0, 2**63))
     equal = bool(np.array_equal(a, corrected))
-    key_a_hex = bits_to_hex(privacy_amplify(a, n_final, hash_seed))
-    key_b_hex = key_a_hex if equal else bits_to_hex(privacy_amplify(corrected, n_final, hash_seed))
+    final_a = np.packbits(privacy_amplify(a, n_final, hash_seed)).tobytes()
+    final_b = final_a
+    if not equal:
+        final_b = np.packbits(privacy_amplify(corrected, n_final, hash_seed)).tobytes()
     return DistillationResult(
-        key_a_hex=key_a_hex,
-        key_b_hex=key_b_hex,
+        key_a=final_a,
+        key_b=final_b,
         final_length=n_final,
         leaked_bits=leaked,
         reconciled_equal=equal,

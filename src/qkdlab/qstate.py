@@ -48,7 +48,8 @@ def random_axes(n: int, rng: np.random.Generator) -> np.ndarray:
         norms = np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2])
         bad = norms < 1e-12
         if not bad.any():
-            return v / norms[:, None]
+            v /= norms[:, None]
+            return v
         v[bad] = rng.normal(size=(int(bad.sum()), 3))
 
 

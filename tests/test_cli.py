@@ -371,11 +371,11 @@ class TestSimulateOutputs:
             "bc5ac9768613e1e7586d65a1f6663684a7f851444573e02f3a603ded05916408")
 
     @pytest.mark.parametrize("flags, digests", [
-        ([], ("7c8805a63466fda57815fb308734806b188f2e85eed831ae2e729dcd69aa9675",
-              "f93768ec746448854184d85e2d112b9086d6273394d7c3de332c2802440e2dba")),
+        ([], ("c9ad3d72fd45616df4ece1a26008a843a14d09a697cb4a7ef50b6b20431af8f7",
+              "54fbb9fca32c8576973f1b35291bac4a52950ae881edc36e47e213902ec2b928")),
         (["--protocol", "bb84", "--omega", "0.1"],
-         ("b042c733f02defc6c26324ab986cca04a8bfb192ee85c6720eed0fcc0afaad81",
-          "48ca8ee30f55dec5da739663739c85a728277341a69c0adad9317f3f722edfea")),
+         ("ca62bd35081f0dddf4fbc96231876a75d730f0de739cf6f8caaf1d1d72f64df7",
+          "cf45de083ea0a2c6a219433d48bb02343ecd1359227aac4ebca7fa3f2e21d539")),
     ], ids=["epr", "bb84"])
     def test_distilled_outputs_pinned(self, tmp_path, capsys, flags, digests):
         """Trials that reconcile hundreds of odd blocks: CSV and summary digests."""

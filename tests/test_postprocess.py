@@ -27,8 +27,12 @@ def noisy_pair(n, p, rng):
     return a, a ^ flips
 
 
-def bisect_reference(key_a, key_b, rng, qber_hint=None):
-    """Shuffled block-parity bisection, one odd block at a time."""
+def bisect_reference(key_a, key_b, perm_source, qber_hint=None):
+    """Shuffled block-parity bisection, one odd block at a time.
+
+    ``perm_source(wrong)`` returns each pass's whole permutation, given the
+    sorted positions ``wrong`` where the keys disagree before that pass.
+    """
     a = np.asarray(key_a, dtype=np.uint8).copy()
     b = np.asarray(key_b, dtype=np.uint8).copy()
     n = a.size
@@ -40,7 +44,7 @@ def bisect_reference(key_a, key_b, rng, qber_hint=None):
     leaked = 0
     clean = 0
     for _ in range(MAX_PASSES):
-        perm = rng.permutation(n)
+        perm = perm_source(np.flatnonzero(a != b))
         pa, pb = a[perm], b[perm]
         starts = np.arange(0, n, block)
         par_a = np.add.reduceat(pa, starts) & 1
@@ -67,6 +71,49 @@ def bisect_reference(key_a, key_b, rng, qber_hint=None):
                 b[perm[lo]] ^= 1
         block = min(block_cap, 2 * block)
     return b, leaked
+
+
+class RecordingGenerator:
+    """Delegates every call to a Generator and logs (method, args, kwargs, result)."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def record(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.calls.append((name, args, kwargs, out))
+            return out
+
+        return record
+
+
+def permutations_from_images(n, images, counts):
+    """Each pass's permutation, completed from the images ``reconcile`` drew.
+
+    A pass with disagreements takes the next drawn images: ``perm[img]``
+    holds the disagreeing positions in increasing order and the other
+    slots hold the remaining positions in increasing order.  A pass with
+    none uses the identity.  ``counts`` collects each pass's disagreement
+    count.
+    """
+    images = iter(images)
+
+    def source(wrong):
+        counts.append(wrong.size)
+        if wrong.size == 0:
+            return np.arange(n)
+        img = next(images)
+        assert img.size == wrong.size
+        perm = np.empty(n, dtype=np.int64)
+        perm[img] = wrong
+        perm[np.setdiff1d(np.arange(n), img)] = np.setdiff1d(np.arange(n), wrong)
+        return perm
+
+    return source
 
 
 @st.composite
@@ -104,8 +151,9 @@ class TestReconcile:
     def test_identical_keys_leak_only_parities(self):
         rng = stream(601)
         a = rng.integers(0, 2, size=100, dtype=np.uint8)
-        out, leaked = reconcile(a, a.copy(), stream(602), qber_hint=0.05)
-        assert np.array_equal(out, a)
+        rec = RecordingGenerator(stream(602))
+        out, leaked = reconcile(a, a.copy(), rec, qber_hint=0.05)
+        assert np.array_equal(out, a) and rec.calls == []  # d = 0 draws nothing
         # four clean passes, block capped at 15: 4 * ceil(100 / 15) parities
         assert leaked == 4 * 7
 
@@ -135,15 +183,39 @@ class TestReconcile:
     @settings(max_examples=200)
     @given(reconcile_cases())
     @example((1, 5e-324, 5e-324, 0))  # 0.73 / hint overflows a float
+    @example((90000, 0.02, 0.02, 7))  # the README trial's key size and error rate
     def test_matches_per_block_reference(self, case):
         n, rate, hint, seed = case
         a, b = noisy_pair(n, rate, stream(seed))
-        rng, ref_rng = stream(seed, 1), stream(seed, 1)
+        rng = RecordingGenerator(stream(seed, 1))
         out, leaked = reconcile(a, b, rng, qber_hint=hint)
-        want, want_leaked = bisect_reference(a, b, ref_rng, qber_hint=hint)
+        assert {name for name, *_ in rng.calls} <= {"choice"}
+        images = [img for *_, img in rng.calls]
+        counts = []
+        want, want_leaked = bisect_reference(
+            a, b, permutations_from_images(n, images, counts), qber_hint=hint)
         assert out.dtype == want.dtype and np.array_equal(out, want)
         assert leaked == want_leaked
-        assert rng.integers(2**63) == ref_rng.integers(2**63)
+        # one draw per pass with disagreements, one image per disagreement
+        assert [img.size for img in images] == [d for d in counts if d]
+        replay = stream(seed, 1)
+        for name, args, kwargs, result in rng.calls:
+            assert np.array_equal(getattr(replay, name)(*args, **kwargs), result)
+        assert rng.integers(2**63) == replay.integers(2**63)
+
+    def test_draw_contract(self):
+        # one choice(n, d, replace=False) per pass with d > 0, never a
+        # permutation, and no draw once the keys agree
+        a, b = noisy_pair(2000, 0.05, stream(618))
+        rng = RecordingGenerator(stream(619))
+        out, _ = reconcile(a, b, rng, qber_hint=0.05)
+        assert np.array_equal(out, a)
+        assert rng.calls and all(name == "choice" for name, *_ in rng.calls)
+        wrong = int((a != b).sum())
+        for _, args, kwargs, img in rng.calls:
+            assert args == (2000, img.size) and kwargs == {"replace": False}
+            assert 0 < img.size <= wrong
+            wrong = img.size
 
     def test_empty_and_shape_checks(self):
         out, leaked = reconcile([], [], stream(609))
@@ -254,7 +326,8 @@ class TestDistillKey:
         res = distill_key(a, b, 0.02, stream(613), kprime=5.0)
         assert res.reconciled_equal and res.final_length > 0
         assert len(calls) == 1
-        assert res.key_b_hex == res.key_a_hex
+        assert res.key_b is res.key_a and isinstance(res.key_a, bytes)
+        assert res.key_b_hex == res.key_a_hex == res.key_a.hex()
 
     def test_unequal_keys_hash_bobs_key(self, monkeypatch):
         # two flips under a zero estimate: the whole-key block has even
