@@ -56,7 +56,6 @@ from .qstate import (
     bell_vectors,
     random_axes,
     random_unitary,
-    reduced_density,
     rotate_pairs,
     von_neumann_entropy,
 )
@@ -211,6 +210,9 @@ class CoherentAttack:
             if len(parts) != 4:
                 raise ConfigError(f"line {lineno}: expected 'labels anc real imag'")
             labels, anc_s, re_s, im_s = parts
+            # the sizes are checked per line, before the dense array exists
+            if len(labels) > MAX_PAIRS:
+                raise ConfigError(f"line {lineno}: coherent attacks support 1..{MAX_PAIRS} pairs")
             if n_pairs is None:
                 n_pairs = len(labels)
             if len(labels) != n_pairs or not all(c in "0123" for c in labels):
@@ -220,8 +222,10 @@ class CoherentAttack:
                 value = complex(float(re_s), float(im_s))
             except ValueError as exc:
                 raise ConfigError(f"line {lineno}: {exc}") from exc
-            if anc < 0:
-                raise ConfigError(f"line {lineno}: negative ancilla index")
+            if not 0 <= anc < MAX_ANCILLA_DIM:
+                raise ConfigError(
+                    f"line {lineno}: ancilla index {anc} outside 0..{MAX_ANCILLA_DIM - 1}"
+                )
             if (labels, anc) in entries:
                 raise ConfigError(f"line {lineno}: duplicate row for {labels} {anc}")
             entries[(labels, anc)] = value
@@ -430,7 +434,7 @@ def conditional_ancilla_state(attack: CoherentAttack, plan: TestPlan) -> Density
         total += np.vdot(mat, mat).real
     if total < 1e-12:
         raise ValueError("passing probability is zero; no conditional state exists")
-    return DensityMatrix(accum / total, (anc,))
+    return DensityMatrix(accum / total)
 
 
 def eve_info_bound(rho: DensityMatrix) -> float:
@@ -562,22 +566,21 @@ def cloning_report(
     distance).
     """
     anc = probe.shape[0]
-    dims = (2, anc)
     probe_states = []
     signal_fid = []
     probe_vecs = []
     for sig in (u1, u2):
-        out = QuantumState(u @ np.kron(sig, probe), dims)
-        rho_sig = reduced_density(out, (0,))
-        signal_fid.append(float(np.real(sig.conj() @ rho_sig.matrix @ sig)))
-        probe_states.append(reduced_density(out, (1,)))
-        vec = out.tensor().reshape(2, anc)
+        # rows run over the signal, columns over the probe
+        vec = QuantumState(u @ np.kron(sig, probe), (2, anc)).tensor()
+        rho_sig = vec @ vec.conj().T
+        signal_fid.append(float(np.real(sig.conj() @ rho_sig @ sig)))
+        probe_states.append(DensityMatrix(vec.T @ vec.conj()))
         proj = sig.conj() @ vec
         norm = np.linalg.norm(proj)
         probe_vecs.append(proj / norm if norm > 1e-12 else np.zeros(anc, dtype=complex))
     overlap = float(abs(np.vdot(probe_vecs[0], probe_vecs[1])))
     rho1, rho2 = probe_states
-    avg = DensityMatrix((rho1.matrix + rho2.matrix) / 2.0, rho1.dims)
+    avg = DensityMatrix((rho1.matrix + rho2.matrix) / 2.0)
     holevo = von_neumann_entropy(avg) - 0.5 * (
         von_neumann_entropy(rho1) + von_neumann_entropy(rho2)
     )

@@ -186,8 +186,14 @@ def eve_info_upper(n_pairs: int, eps: float, theta: float = 0.0) -> float:
     """Upper bound in bits on Eve's accessible information per session.
 
     log2 of the exact atypical dimension plus an N*theta allowance for
-    residual weight outside it.  Dominates the Holevo quantity of any
-    coherent attack supported on the atypical subspace at matching (N, eps).
+    residual weight outside it.  Dominates the Holevo quantity only of
+    coherent attacks supported on the atypical subspace (fewer than
+    T = ceil(2 N eps) non-singlet slots) at matching (N, eps).  Passing
+    the default ``two_epsilon`` test does not confine an attack there: a
+    non-singlet slot errs with probability 2/3 along a random axis, so
+    weight on t slots with 2 N eps <= t < 3 N eps shows an expected test
+    error rate below 2 eps and passes with probability tending to 1 as N
+    grows.  Nothing here relates theta to that passing probability.
     Raises ConfigError when theta is so large that the bound overflows.
     """
     check_theta(theta)

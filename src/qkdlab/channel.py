@@ -51,7 +51,7 @@ def werner_state(f: float) -> DensityMatrix:
     m = f * np.outer(rows[0], rows[0].conj())
     for k in (1, 2, 3):
         m = m + (1.0 - f) / 3.0 * np.outer(rows[k], rows[k].conj())
-    return DensityMatrix(m, (2, 2))
+    return DensityMatrix(m)
 
 
 def antiparallel_prob(f: float) -> float:

@@ -1,9 +1,9 @@
 """Classical distillation of sifted keys.
 
-The pipeline is: estimate the error rate from the public test sample,
-reconcile Bob's key against Alice's by iterated block-parity bisection
-(counting every exchanged parity bit as leaked), then compress with a
-seeded Toeplitz hash to the length the secrecy-rate bound permits after
+The pipeline takes the error rate the public test observed, reconciles
+Bob's key against Alice's by iterated block-parity bisection (counting
+every exchanged parity bit as leaked), then compresses with a seeded
+Toeplitz hash to the length the secrecy-rate bound permits after
 subtracting the leakage:
 
     final length = floor(n_raw * max(0, 1 + k' eps log2 eps)) - leaked.
@@ -24,35 +24,6 @@ from .bounds import secrecy_lower_bound
 from .rng import stream
 
 MAX_PASSES = 64  # upper limit on reconciliation passes
-
-
-@dataclass(frozen=True)
-class ErrorRateEstimate:
-    """Point estimate of the error rate with a 3-sigma half width."""
-
-    point: float
-    half_width: float
-    errors: int
-    sample_size: int
-
-
-def estimate_error_rate(test_outcomes) -> ErrorRateEstimate:
-    """Estimate the error rate from a boolean error sequence.
-
-    The half width is 3 * sqrt(p(1-p)/m) around the observed frequency.
-    """
-    outcomes = np.asarray(test_outcomes, dtype=bool)
-    m = outcomes.size
-    if m < 1:
-        raise ValueError("cannot estimate an error rate from an empty sample")
-    errors = int(outcomes.sum())
-    p = errors / m
-    return ErrorRateEstimate(
-        point=p,
-        half_width=3.0 * math.sqrt(p * (1.0 - p) / m),
-        errors=errors,
-        sample_size=m,
-    )
 
 
 def reconcile(
@@ -173,32 +144,18 @@ def final_key_length(n_raw: int, eps: float, leaked_bits: int, kprime: float = 1
     return max(0, math.floor(n_raw * rate) - leaked_bits)
 
 
-def bits_to_hex(bits) -> str:
-    """Pack a bit array (most significant bit first) into lowercase hex."""
-    return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes().hex()
-
-
 @dataclass(frozen=True)
 class DistillationResult:
     """Final keys and accounting from one reconciliation + amplification run.
 
-    The final keys are packed, most significant bit first, as by
-    ``bits_to_hex``; equal keys are one shared object.
+    The final keys are packed, most significant bit first; equal keys are
+    one shared object.
     """
 
     key_a: bytes
     key_b: bytes
     final_length: int
     leaked_bits: int
-    reconciled_equal: bool
-
-    @property
-    def key_a_hex(self) -> str:
-        return self.key_a.hex()
-
-    @property
-    def key_b_hex(self) -> str:
-        return self.key_b.hex()
 
     @property
     def keys_equal(self) -> bool:
@@ -222,15 +179,13 @@ def distill_key(
     corrected, leaked = reconcile(a, key_b, rng, qber_hint=qber_estimate)
     n_final = final_key_length(a.size, qber_estimate, leaked, kprime)
     hash_seed = int(rng.integers(0, 2**63))
-    equal = bool(np.array_equal(a, corrected))
     final_a = np.packbits(privacy_amplify(a, n_final, hash_seed)).tobytes()
     final_b = final_a
-    if not equal:
+    if not np.array_equal(a, corrected):
         final_b = np.packbits(privacy_amplify(corrected, n_final, hash_seed)).tobytes()
     return DistillationResult(
         key_a=final_a,
         key_b=final_b,
         final_length=n_final,
         leaked_bits=leaked,
-        reconciled_equal=equal,
     )

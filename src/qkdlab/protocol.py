@@ -164,7 +164,6 @@ class Transcript:
     verdict: str
     observed_error_count: int
     test_size: int
-    error_rate_estimate: float
     outcome_a: np.ndarray
     outcome_b: np.ndarray
     in_test: np.ndarray
@@ -181,6 +180,10 @@ class Transcript:
     @property
     def n(self) -> int:
         return int(self.outcome_a.shape[0])
+
+    @property
+    def error_rate_estimate(self) -> float:
+        return self.observed_error_count / self.test_size
 
     @property
     def accepted(self) -> bool:
@@ -295,7 +298,6 @@ def run_epr_session(
         verdict=verdict,
         observed_error_count=errors,
         test_size=m,
-        error_rate_estimate=errors / m,
         outcome_a=outcome_a,
         outcome_b=outcome_b,
         in_test=in_test,
@@ -395,7 +397,6 @@ def run_bb84_session(
         verdict=verdict,
         observed_error_count=errors,
         test_size=m_t,
-        error_rate_estimate=errors / m_t,
         outcome_a=bits_a,
         outcome_b=outcome_b,
         in_test=in_test,

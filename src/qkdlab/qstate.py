@@ -1,14 +1,13 @@
 """Dense linear algebra for small multi-qubit systems.
 
-States and density matrices carry an explicit subsystem factorization
-(a tuple of dimensions, qubits being dimension 2 with an optional larger
-ancilla block) so that partial traces can address individual subsystems
-of a joint state.  A pair is measured along an axis n in one way only:
-:func:`rotate_pairs` rotates it by V(n) (x) V(n), V's rows being <up_n|
-and <down_n| (:func:`spin_frames`), so that each of the four joint
-outcomes is one rotated row.  Everything is dense and double precision:
-the intended regime is a handful of qubit pairs plus a small ancilla, not
-general circuit simulation.
+States carry an explicit subsystem factorization (a tuple of dimensions,
+qubits being dimension 2 with an optional larger ancilla block); a density
+matrix is a checked square matrix with none.  A pair is measured along an
+axis n in one way only: :func:`rotate_pairs` rotates it by V(n) (x) V(n),
+V's rows being <up_n| and <down_n| (:func:`spin_frames`), so that each of
+the four joint outcomes is one rotated row.  Everything is dense and
+double precision: the intended regime is a handful of qubit pairs plus a
+small ancilla, not general circuit simulation.
 
 Conventions:
   * Measurement outcomes are 0 for spin up and 1 for spin down along the
@@ -87,17 +86,11 @@ class DensityMatrix:
     """A Hermitian, unit-trace, positive-semidefinite matrix."""
 
     matrix: np.ndarray
-    dims: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=complex)
-        if self.dims is None:
-            dims = (m.shape[0],) if m.ndim == 2 else ()
-        else:
-            dims = tuple(int(d) for d in self.dims)
-        d = math.prod(dims)
-        if m.shape != (d, d):
-            raise ValueError(f"matrix shape {m.shape} does not match factorization {dims}")
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"matrix shape {m.shape} is not square")
         if not np.allclose(m, m.conj().T, atol=NORM_ATOL):
             raise ValueError("matrix is not Hermitian within 1e-9")
         tr = np.trace(m).real
@@ -109,17 +102,10 @@ class DensityMatrix:
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dims", dims)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-def density(state: QuantumState) -> DensityMatrix:
-    """Rank-one density matrix |psi><psi| of a pure state."""
-    v = state.amplitudes
-    return DensityMatrix(np.outer(v, v.conj()), state.dims)
 
 
 def bell_vectors() -> np.ndarray:
@@ -211,29 +197,6 @@ def measure_pair(
     if norm < 1e-12:
         raise RuntimeError("projection onto a sampled outcome has vanishing norm")
     return idx // 2, idx % 2, row / norm
-
-
-def partial_trace(rho: DensityMatrix, keep: tuple[int, ...]) -> DensityMatrix:
-    """Trace out every subsystem not listed in ``keep``."""
-    k = len(rho.dims)
-    keep_sorted = tuple(sorted(set(int(i) for i in keep)))
-    if len(keep_sorted) != len(keep):
-        raise ValueError("keep indices must be distinct")
-    if not keep_sorted or keep_sorted[0] < 0 or keep_sorted[-1] >= k:
-        raise ValueError(f"keep indices must be a nonempty subset of 0..{k - 1}")
-    arr = rho.matrix.reshape(rho.dims + rho.dims)
-    keep_set = set(keep_sorted)
-    row = list(range(k))
-    col = [i if i not in keep_set else k + i for i in range(k)]
-    out = [i for i in keep_sorted] + [k + i for i in keep_sorted]
-    red = np.einsum(arr, row + col, out)
-    d = math.prod(rho.dims[i] for i in keep_sorted)
-    return DensityMatrix(red.reshape(d, d), tuple(rho.dims[i] for i in keep_sorted))
-
-
-def reduced_density(state: QuantumState, keep: tuple[int, ...]) -> DensityMatrix:
-    """Reduced density matrix of a pure state on the ``keep`` subsystems."""
-    return partial_trace(density(state), keep)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

@@ -182,6 +182,14 @@ class TestCoherentAttackConstruction:
         with pytest.raises(ConfigError):
             CoherentAttack.from_text(f"00 0 {s} 0\n00 0 {s} 0")
 
+    def test_text_rejects_oversized_rows_on_their_line(self):
+        for text, what in [("0 0 1.0 0.0\n0 16 0.0 0.0", "line 2: ancilla index"),
+                           ("0000000 0 1.0 0.0", "line 1: .* 1..6 pairs")]:
+            with pytest.raises(ConfigError, match=what):
+                CoherentAttack.from_text(text)
+        # the largest sizes still parse
+        assert CoherentAttack.from_text("000000 15 1.0 0.0").ancilla_dim == 16
+
 
 class TestPassingProbability:
     def test_all_singlets_always_pass(self):
@@ -591,3 +599,16 @@ class TestCloningVerifier:
                 informative += 1
                 assert rep.max_fidelity_deficit >= 1e-6
         assert informative > 10  # random interactions are rarely uninformative
+
+    def test_report_pinned(self):
+        # pinned from the partial traces of the full density matrix, to 1e-12
+        rng = stream(422)
+        u1, u2 = random_signal_pair(rng)
+        u = random_unitary(8, rng)
+        probe = rng.normal(size=4) + 1j * rng.normal(size=4)
+        probe /= np.linalg.norm(probe)
+        rep = cloning_report(u, u1, u2, probe)
+        expected = (0.259851377831446, 0.5535213083793951, 0.351460369565706,
+                    0.5501450987478744, 0.7450293435803266)
+        got = (rep.probe_overlap, *rep.signal_fidelities, rep.helstrom_bits, rep.holevo_bits)
+        assert np.allclose(got, expected, rtol=0.0, atol=1e-12)

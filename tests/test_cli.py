@@ -12,6 +12,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -508,6 +509,24 @@ class TestAttackEval:
         code, _, _ = run_cli(
             ["attack-eval", "--attack-file", "/nonexistent", "--m", "1"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("row", ["0000 40000 1.0 0.0", "012301230 0 1.0 0.0"],
+                             ids=["ancilla-index", "label-length"])
+    @pytest.mark.parametrize("command", [
+        ["attack-eval", "--m", "2"],
+        ["simulate", "--n", "4", "--m", "2", "--epsilon", "0.13", "--attack", "coherent"],
+    ], ids=["attack-eval", "simulate"])
+    def test_oversized_file_rejected_before_allocating(self, tmp_path, capsys, row, command):
+        path = tmp_path / "atk.txt"
+        path.write_text(row + "\n")
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli([*command, "--attack-file", str(path)], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and "config error" in err
+        assert peak < 2**20
 
 
 class TestEquivalence:

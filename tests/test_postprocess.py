@@ -1,4 +1,4 @@
-"""Tests for error estimation, reconciliation, and privacy amplification."""
+"""Tests for reconciliation, privacy amplification, and key distillation."""
 
 import math
 import zlib
@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 from qkdlab.errors import RegimeError
 from qkdlab.postprocess import (
     MAX_PASSES,
-    bits_to_hex,
     distill_key,
-    estimate_error_rate,
     final_key_length,
     privacy_amplify,
     reconcile,
@@ -123,28 +121,6 @@ def reconcile_cases(draw):
     rate = draw(st.floats(0.0, 0.5))
     hint = draw(st.one_of(st.none(), st.just(0.0), st.just(rate), st.floats(0.0, 0.5)))
     return n, rate, hint, draw(st.integers(0, 2**32 - 1))
-
-
-class TestEstimate:
-    def test_point_and_half_width(self):
-        outcomes = np.zeros(10 ** 4, dtype=bool)
-        outcomes[:200] = True
-        est = estimate_error_rate(outcomes)
-        assert est.point == pytest.approx(0.02)
-        assert est.half_width == pytest.approx(3 * math.sqrt(0.02 * 0.98 / 1e4))
-        assert est.errors == 200
-        assert est.sample_size == 10 ** 4
-
-    def test_degenerate_samples(self):
-        clean = estimate_error_rate(np.zeros(50, dtype=bool))
-        assert clean.point == 0.0
-        assert clean.half_width == 0.0
-        bad = estimate_error_rate(np.ones(50, dtype=bool))
-        assert bad.point == 1.0
-
-    def test_empty_sample_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_error_rate([])
 
 
 class TestReconcile:
@@ -287,27 +263,19 @@ class TestFinalKeyLength:
             final_key_length(-1, 0.01, 0)
 
 
-class TestBitsToHex:
-    def test_round_values(self):
-        assert bits_to_hex([1, 0, 1, 0, 1, 1, 1, 1]) == "af"
-        assert bits_to_hex([]) == ""
-        assert bits_to_hex([1]) == "80"  # left-aligned, zero padded
-
-
 class TestDistillKey:
     def test_round_trip(self):
         a, b = noisy_pair(4096, 0.02, stream(612))
         res = distill_key(a, b, 0.02, stream(613), kprime=5.0)
         assert res.keys_equal
-        assert res.reconciled_equal
         assert res.final_length == final_key_length(4096, 0.02, res.leaked_bits, 5.0)
-        assert len(res.key_a_hex) == math.ceil(res.final_length / 8) * 2
+        assert len(res.key_a) == math.ceil(res.final_length / 8)
 
     def test_exhausted_budget_gives_empty_key(self):
         a, b = noisy_pair(64, 0.02, stream(614))
         res = distill_key(a, b, 0.02, stream(615), kprime=10.0)
         assert res.final_length == 0
-        assert res.key_a_hex == "" and res.keys_equal
+        assert res.key_a == b"" and res.keys_equal
 
     @staticmethod
     def count_amplify(monkeypatch):
@@ -324,10 +292,9 @@ class TestDistillKey:
         calls = self.count_amplify(monkeypatch)
         a, b = noisy_pair(4096, 0.02, stream(612))
         res = distill_key(a, b, 0.02, stream(613), kprime=5.0)
-        assert res.reconciled_equal and res.final_length > 0
+        assert res.keys_equal and res.final_length > 0
         assert len(calls) == 1
         assert res.key_b is res.key_a and isinstance(res.key_a, bytes)
-        assert res.key_b_hex == res.key_a_hex == res.key_a.hex()
 
     def test_unequal_keys_hash_bobs_key(self, monkeypatch):
         # two flips under a zero estimate: the whole-key block has even
@@ -342,7 +309,7 @@ class TestDistillKey:
         hash_seed = int(replay.integers(0, 2**63))
         assert np.array_equal(corrected, b) and leaked == res.leaked_bits
         assert len(calls) == 2
-        assert not res.reconciled_equal and res.final_length > 0
-        assert res.key_b_hex == bits_to_hex(privacy_amplify(corrected, res.final_length, hash_seed))
-        assert res.key_a_hex == bits_to_hex(privacy_amplify(a, res.final_length, hash_seed))
-        assert res.key_b_hex != res.key_a_hex
+        assert not res.keys_equal and res.final_length > 0
+        packed = [np.packbits(privacy_amplify(k, res.final_length, hash_seed)).tobytes()
+                  for k in (a, corrected)]
+        assert [res.key_a, res.key_b] == packed

@@ -13,14 +13,11 @@ from qkdlab.qstate import (
     QuantumState,
     bell_basis,
     bell_vectors,
-    density,
     fidelity,
     measure_pair,
-    partial_trace,
     random_axes,
     random_rotation,
     random_unitary,
-    reduced_density,
     rotate_pairs,
     spin_frames,
     von_neumann_entropy,
@@ -60,8 +57,8 @@ class TestBellBasis:
 
 class TestFidelity:
     def test_pure_singlet(self):
-        psi0 = bell_basis()[0]
-        assert fidelity(density(psi0)) == pytest.approx(1.0)
+        psi0 = bell_vectors()[0]
+        assert fidelity(DensityMatrix(np.outer(psi0, psi0.conj()))) == pytest.approx(1.0)
 
     def test_maximally_mixed(self):
         mixed = DensityMatrix(np.eye(4) / 4)
@@ -265,55 +262,20 @@ class TestPairKernel:
         assert np.allclose(frame @ frame.conj().T, np.eye(2), rtol=0.0, atol=1e-12)
 
 
-class TestPartialTrace:
-    def test_singlet_member_maximally_mixed(self):
-        rho = density(bell_basis()[0])
-        half = partial_trace(rho, keep=(0,))
-        assert np.allclose(half.matrix, np.eye(2) / 2, atol=1e-12)
-
-    def test_keep_everything_is_identity(self):
-        rho = density(bell_basis()[2])
-        same = partial_trace(rho, keep=(0, 1))
-        assert np.allclose(same.matrix, rho.matrix, atol=1e-12)
-
-    def test_product_state_factors(self):
-        rng = stream(109)
-        a = rng.normal(size=2) + 1j * rng.normal(size=2)
-        a /= np.linalg.norm(a)
-        b = rng.normal(size=2) + 1j * rng.normal(size=2)
-        b /= np.linalg.norm(b)
-        rho = DensityMatrix(
-            np.kron(np.outer(a, a.conj()), np.outer(b, b.conj())), (2, 2)
-        )
-        got = partial_trace(rho, keep=(0,))
-        assert np.allclose(got.matrix, np.outer(a, a.conj()), atol=1e-12)
-
-    def test_empty_keep_rejected(self):
-        with pytest.raises(ValueError):
-            partial_trace(density(bell_basis()[0]), keep=())
-
-    def test_reduced_density_matches(self):
-        rng = stream(110)
-        amps = rng.normal(size=16) + 1j * rng.normal(size=16)
-        amps /= np.linalg.norm(amps)
-        state = QuantumState(amps, (2, 2, 4))
-        via_rho = partial_trace(DensityMatrix(np.outer(amps, amps.conj()), state.dims),
-                                keep=(2,))
-        direct = reduced_density(state, keep=(2,))
-        assert np.allclose(via_rho.matrix, direct.matrix, atol=1e-12)
-
-
 class TestEntropy:
     def test_pure_state_zero(self):
-        assert von_neumann_entropy(density(bell_basis()[3])) == pytest.approx(
-            0.0, abs=1e-12
-        )
+        psi3 = bell_vectors()[3]
+        rho = DensityMatrix(np.outer(psi3, psi3.conj()))
+        assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed_qubit(self):
         assert von_neumann_entropy(DensityMatrix(np.eye(2) / 2)) == pytest.approx(1.0)
 
     def test_half_of_singlet_is_one_bit(self):
-        rho = partial_trace(density(bell_basis()[0]), keep=(1,))
+        # rows of the reshaped singlet run over Alice, columns over Bob
+        vec = bell_vectors()[0].reshape(2, 2)
+        rho = DensityMatrix(vec.T @ vec.conj())
+        assert np.allclose(rho.matrix, np.eye(2) / 2, atol=1e-12)
         assert von_neumann_entropy(rho) == pytest.approx(1.0, abs=1e-9)
 
     def test_binary_mixture_curve(self):
@@ -325,6 +287,11 @@ class TestEntropy:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([1.2, -0.2]))
+
+    def test_rejects_non_square(self):
+        for m in (np.ones(4) / 4, np.ones((2, 3)) / 2):
+            with pytest.raises(ValueError, match="not square"):
+                DensityMatrix(m)
 
 
 class TestRotationCovariance:
