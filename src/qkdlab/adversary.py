@@ -8,7 +8,10 @@ Three attack families are modeled:
   * fully coherent attacks, where the attacker prepares the entire joint
     state of N pairs entangled with a private ancilla block:
 
-        sum_{i1..iN} a_{i1..iN, r} |psi_i1> ... |psi_iN> |r>.
+        sum_{i1..iN} a_{i1..iN, r} |psi_i1> ... |psi_iN> |r>,
+
+    stored as one amplitude tensor in the computational pair basis
+    (:class:`CoherentAttack`).
 
 For a test plan (which pairs are compared, along which axes, and how many
 parallel outcomes are tolerated) the module computes the exact passing
@@ -16,7 +19,7 @@ probability, the attacker's ancilla state conditioned on passing, and the
 Holevo bound S(rho) on what she can learn from it (:func:`holevo_on_pass`).
 
 A test of the pairs S sees only their reduced state rho_S.  The scoring
-reshapes the attack state into a matrix X whose rows run over the tested
+reshapes the attack tensor into a matrix X whose rows run over the tested
 pairs, so that X X^dagger = rho_S.  Each tested pair is then rotated by
 V(n) (x) V(n) with :func:`qkdlab.qstate.rotate_pairs`, the same kernel a
 coherent session measures with, so that "parallel along n" becomes the
@@ -29,10 +32,12 @@ that share a tested subset together, in batches of about 1 MB.  The dense
 state of 4^N times the ancilla dimension amplitudes is why coherent
 attacks are capped at 6 pairs and ancilla dimension 16.
 
-The typicality split quantifies the attacker's dilemma: weight on vectors
-with many non-singlet slots is what the test catches, so a surviving
-attack must live in the low-count ("atypical") subspace, whose dimension
-is bounded in :mod:`qkdlab.bounds`.
+The typicality split weighs an attack on the low-count ("atypical")
+subspace, whose dimension is bounded in :mod:`qkdlab.bounds`.  Passing a
+test does not confine an attack there: weight on t non-singlet slots with
+2 N eps <= t < 3 N eps errs below rate 2 eps on average, so it passes the
+default ``two_epsilon`` test with probability tending to 1 as N grows (see
+:func:`qkdlab.bounds.eve_info_upper`).
 
 The cloning-interaction verifier at the bottom checks the information /
 disturbance tradeoff for unitaries coupling a signal qubit to a probe:
@@ -51,8 +56,8 @@ import numpy as np
 from .bounds import atypical_threshold, binary_entropy
 from .errors import ConfigError
 from .qstate import (
+    NORM_ATOL,
     DensityMatrix,
-    QuantumState,
     bell_vectors,
     random_axes,
     random_unitary,
@@ -135,16 +140,18 @@ def substitute_pairs(
 # coherent attacks
 
 
-def _bell_transform(arr: np.ndarray, n_pairs: int, to_bell: bool) -> np.ndarray:
-    """Convert between computational pair axes (dim 4) and Bell-label axes."""
-    b = bell_vectors()
-    for i in range(n_pairs):
-        if to_bell:
-            arr = np.tensordot(b.conj(), arr, axes=([1], [i]))
-            arr = np.moveaxis(arr, 0, i)
-        else:
-            arr = np.tensordot(arr, b, axes=([i], [0]))
-            arr = np.moveaxis(arr, -1, i)
+def _per_pair(matrix: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """Apply the 4x4 ``matrix`` to every pair axis of ``arr`` (all but the last)."""
+    for i in range(arr.ndim - 1):
+        arr = np.moveaxis(np.tensordot(matrix, arr, axes=([1], [i])), 0, i)
+    return arr
+
+
+def _pair_tensor(amplitudes) -> np.ndarray:
+    """``amplitudes`` as a complex array of pair axes of length 4 and an ancilla axis."""
+    arr = np.asarray(amplitudes, dtype=complex)
+    if arr.ndim < 2 or any(d != 4 for d in arr.shape[:-1]):
+        raise ConfigError(f"need length-4 pair axes and an ancilla axis, got shape {arr.shape}")
     return arr
 
 
@@ -152,44 +159,42 @@ def _bell_transform(arr: np.ndarray, n_pairs: int, to_bell: bool) -> np.ndarray:
 class CoherentAttack:
     """A joint pure state of N pairs plus one ancilla block.
 
-    The state factorization is 2N qubits followed by a single ancilla
-    subsystem; qubits 2t and 2t+1 form pair t (Alice's half first).
+    ``amplitudes`` is a read-only (4,)*N + (ancilla,) tensor in the
+    computational pair basis: index 2a + b on axis t holds Alice's qubit a
+    and Bob's qubit b of pair t.
     """
 
-    state: QuantumState
-    n_pairs: int
-    ancilla_dim: int
+    amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_pairs <= MAX_PAIRS:
-            raise ConfigError(f"coherent attacks support 1..{MAX_PAIRS} pairs, got {self.n_pairs}")
-        if not 1 <= self.ancilla_dim <= MAX_ANCILLA_DIM:
-            raise ConfigError(
-                f"ancilla dimension must be 1..{MAX_ANCILLA_DIM}, got {self.ancilla_dim}"
-            )
-        expected = (2,) * (2 * self.n_pairs) + (self.ancilla_dim,)
-        if self.state.dims != expected:
-            raise ConfigError(
-                f"state factorization {self.state.dims} does not match {expected}"
-            )
+        arr = np.array(_pair_tensor(self.amplitudes), order="C")
+        if arr.ndim - 1 > MAX_PAIRS:
+            raise ConfigError(f"coherent attacks support 1..{MAX_PAIRS} pairs, got {arr.ndim - 1}")
+        if not 1 <= arr.shape[-1] <= MAX_ANCILLA_DIM:
+            raise ConfigError(f"ancilla dimension {arr.shape[-1]} outside 1..{MAX_ANCILLA_DIM}")
+        norm = float(np.linalg.norm(arr))
+        # written so that a NaN norm fails too
+        if not abs(norm - 1.0) <= NORM_ATOL:
+            raise ConfigError(f"attack state has norm {norm}; unnormalized input is rejected")
+        arr.setflags(write=False)
+        object.__setattr__(self, "amplitudes", arr)
+
+    @property
+    def n_pairs(self) -> int:
+        return self.amplitudes.ndim - 1
+
+    @property
+    def ancilla_dim(self) -> int:
+        return self.amplitudes.shape[-1]
 
     @classmethod
     def from_bell_amplitudes(cls, amplitudes: np.ndarray) -> "CoherentAttack":
-        """Build from a (4,)*N + (ancilla,) amplitude tensor.
+        """Build from a (4,)*N + (ancilla,) tensor of Bell-label amplitudes.
 
         The last axis is always the ancilla, even when it has dimension 4;
         an attack without an ancilla passes an ancilla axis of length 1.
         """
-        arr = np.asarray(amplitudes, dtype=complex)
-        if arr.ndim < 2:
-            raise ConfigError("amplitude tensor needs pair axes and an ancilla axis")
-        n_pairs = arr.ndim - 1
-        if any(d != 4 for d in arr.shape[:-1]):
-            raise ConfigError(f"pair axes must have dimension 4, got shape {arr.shape}")
-        anc = arr.shape[-1]
-        comp = _bell_transform(arr, n_pairs, to_bell=False)
-        state = QuantumState(comp.reshape(-1), (2,) * (2 * n_pairs) + (anc,))
-        return cls(state=state, n_pairs=n_pairs, ancilla_dim=anc)
+        return cls(_per_pair(bell_vectors().T, _pair_tensor(amplitudes)))
 
     @classmethod
     def from_text(cls, text: str) -> "CoherentAttack":
@@ -235,11 +240,6 @@ class CoherentAttack:
         arr = np.zeros((4,) * n_pairs + (anc_max + 1,), dtype=complex)
         for (labels, anc), value in entries.items():
             arr[tuple(int(c) for c in labels) + (anc,)] = value
-        norm = np.linalg.norm(arr)
-        if abs(norm - 1.0) > 1e-9:
-            raise ConfigError(
-                f"attack state has norm {norm!r}; unnormalized input is rejected"
-            )
         return cls.from_bell_amplitudes(arr)
 
     @classmethod
@@ -261,8 +261,7 @@ class CoherentAttack:
         return "\n".join(lines) + "\n"
 
     def bell_amplitudes(self) -> np.ndarray:
-        arr = self.state.amplitudes.reshape((4,) * self.n_pairs + (self.ancilla_dim,))
-        return _bell_transform(arr, self.n_pairs, to_bell=True)
+        return _per_pair(bell_vectors().conj(), self.amplitudes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,8 +317,7 @@ def _tested_matrix(attack: CoherentAttack, indices: tuple[int, ...]) -> np.ndarr
     tested pairs (first pair most significant) and whose column index runs
     over the untested pairs, in order, and then the ancilla."""
     _check_indices(indices, attack.n_pairs)
-    arr = attack.state.amplitudes.reshape((4,) * attack.n_pairs + (attack.ancilla_dim,))
-    arr = np.moveaxis(arr, list(indices), list(range(len(indices))))
+    arr = np.moveaxis(attack.amplitudes, list(indices), list(range(len(indices))))
     return arr.reshape(4 ** len(indices), -1)
 
 
@@ -450,19 +448,17 @@ def holevo_on_pass(attack: CoherentAttack, plan: TestPlan) -> float | None:
         return None
 
 
-def typicality_split(n_pairs: int, eps: float, state: QuantumState) -> tuple[float, float]:
-    """Weights of ``state`` on the typical / atypical count subspaces.
+def typicality_split(attack: CoherentAttack, eps: float) -> tuple[float, float]:
+    """Weights of the attack state on the typical / atypical count subspaces.
 
     The atypical subspace is spanned by Bell-product vectors with fewer
     than T = ceil(2 N eps) non-singlet slots; weight on its complement is
     what an error-rate test at eps is statistically able to notice.  The
-    state ends in an ancilla block, as attack states do, which is summed over.
+    ancilla is summed over.
     """
-    if state.dims[:-1] != (2,) * (2 * n_pairs):
-        raise ConfigError(f"state factorization {state.dims} does not hold {n_pairs} pairs")
+    n_pairs = attack.n_pairs
     t = atypical_threshold(n_pairs, eps)
-    arr = state.amplitudes.reshape((4,) * n_pairs + (state.dims[-1],))
-    weights = (np.abs(_bell_transform(arr, n_pairs, to_bell=True)) ** 2).sum(axis=-1)
+    weights = (np.abs(attack.bell_amplitudes()) ** 2).sum(axis=-1)
     atypical = float(weights[_slot_counts(_NONSINGLET, n_pairs).reshape(weights.shape) < t].sum())
     return float(weights.sum() - atypical), atypical
 
@@ -571,7 +567,7 @@ def cloning_report(
     probe_vecs = []
     for sig in (u1, u2):
         # rows run over the signal, columns over the probe
-        vec = QuantumState(u @ np.kron(sig, probe), (2, anc)).tensor()
+        vec = (u @ np.kron(sig, probe)).reshape(2, anc)
         rho_sig = vec @ vec.conj().T
         signal_fid.append(float(np.real(sig.conj() @ rho_sig @ sig)))
         probe_states.append(DensityMatrix(vec.T @ vec.conj()))

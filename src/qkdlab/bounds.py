@@ -2,9 +2,10 @@
 
 The central object is the "atypical" subspace of N pair slots at error
 rate epsilon: the span of Bell-product vectors carrying fewer than
-T = ceil(2 N epsilon) non-singlet slots.  An attack that wants to survive
-random testing must concentrate there, so its accessible information is
-capped by the log of the subspace dimension.  This module computes the
+T = ceil(2 N epsilon) non-singlet slots.  The accessible information of an
+attack supported there is capped by the log of the subspace dimension;
+passing a test does not confine an attack to it (see
+:func:`eve_info_upper`).  This module computes the
 exact dimension and the chain of increasingly generous closed-form bounds
 
     exact <= L1 <= L2 <= L3 <= L4 = L5,

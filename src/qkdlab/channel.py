@@ -33,8 +33,9 @@ from .qstate import DensityMatrix, bell_vectors
 
 EPSILON_MAX = 2.0 / 3.0  # error rate of the F = 0 channel; no Werner state lies beyond
 
-# antiparallel probability of label k along axis n is n[_LABEL_COMPONENT[k]]**2
-_LABEL_COMPONENT = {1: 2, 2: 1, 3: 0}
+# antiparallel probability of label k along axis n is n[_LABEL_AXIS[k]]**2,
+# and 1 for the singlet, which has no axis (-1)
+_LABEL_AXIS = np.array([-1, 2, 1, 0])
 
 
 def _check_fidelity(f: float) -> float:
@@ -85,13 +86,10 @@ def antiparallel_prob_given_label(labels: np.ndarray, axes: np.ndarray) -> np.nd
     ``labels`` is an int array in 0..3, ``axes`` an (n, 3) array of unit
     vectors giving the common measurement axis of each pair.
     """
-    labels = np.asarray(labels)
-    axes = np.asarray(axes, dtype=float)
-    p = np.ones(labels.shape[0])
-    for label, comp in _LABEL_COMPONENT.items():
-        mask = labels == label
-        if np.any(mask):
-            p[mask] = axes[mask, comp] ** 2
+    comp = _LABEL_AXIS[np.asarray(labels)]
+    # row i's component comp[i] sits at flat index 3 i + comp[i]
+    p = np.take(np.asarray(axes, dtype=float), 3 * np.arange(comp.shape[0]) + comp) ** 2
+    p[comp < 0] = 1.0
     return p
 
 

@@ -273,7 +273,7 @@ def run_epr_session(
     if coherent:
         outcome_a = np.empty(n, dtype=np.uint8)
         outcome_b = np.empty(n, dtype=np.uint8)
-        rest = attack.state.amplitudes
+        rest = attack.amplitudes
         for t in range(n):
             outcome_a[t], outcome_b[t], rest = measure_pair(rest, axes[t], rng)
     else:

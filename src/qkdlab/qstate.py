@@ -1,8 +1,9 @@
 """Dense linear algebra for small multi-qubit systems.
 
-States carry an explicit subsystem factorization (a tuple of dimensions,
-qubits being dimension 2 with an optional larger ancilla block); a density
-matrix is a checked square matrix with none.  A pair is measured along an
+A pure state is a raw amplitude array whose leading axes are pairs of
+length 4 (index 2a + b for Alice's qubit a and Bob's qubit b), optionally
+followed by an ancilla block; a density matrix is a checked square
+matrix.  A pair is measured along an
 axis n in one way only: :func:`rotate_pairs` rotates it by V(n) (x) V(n),
 V's rows being <up_n| and <down_n| (:func:`spin_frames`), so that each of
 the four joint outcomes is one rotated row.  Everything is dense and
@@ -12,8 +13,6 @@ small ancilla, not general circuit simulation.
 Conventions:
   * Measurement outcomes are 0 for spin up and 1 for spin down along the
     chosen axis.
-  * A "pair" occupies two adjacent qubit slots, the first belonging to
-    Alice and the second to Bob; pair ``t`` sits on qubits ``2t, 2t+1``.
   * The Bell basis is ordered singlet first:
         psi0 = (|01> - |10>)/sqrt2   (singlet)
         psi1 = (|01> + |10>)/sqrt2
@@ -50,35 +49,6 @@ def random_axes(n: int, rng: np.random.Generator) -> np.ndarray:
             v /= norms[:, None]
             return v
         v[bad] = rng.normal(size=(int(bad.sum()), 3))
-
-
-@dataclass(frozen=True, eq=False)
-class QuantumState:
-    """A normalized pure state with an explicit subsystem factorization."""
-
-    amplitudes: np.ndarray
-    dims: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        dims = tuple(int(d) for d in self.dims)
-        if any(d < 1 for d in dims):
-            raise ValueError("subsystem dimensions must be positive")
-        if amps.size != math.prod(dims):
-            raise ValueError(
-                f"amplitude count {amps.size} does not match factorization {dims}"
-            )
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_ATOL:
-            raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_ATOL}")
-        amps = amps.copy()
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "dims", dims)
-
-    def tensor(self) -> np.ndarray:
-        """Amplitudes reshaped to one axis per subsystem (read-only view)."""
-        return self.amplitudes.reshape(self.dims)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,12 +90,6 @@ def bell_vectors() -> np.ndarray:
         ],
         dtype=complex,
     )
-
-
-def bell_basis() -> tuple[QuantumState, QuantumState, QuantumState, QuantumState]:
-    """The four Bell states as two-qubit states, singlet first."""
-    rows = bell_vectors()
-    return tuple(QuantumState(rows[k], (2, 2)) for k in range(4))
 
 
 def fidelity(m: DensityMatrix) -> float:

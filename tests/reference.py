@@ -11,8 +11,6 @@ import math
 
 import numpy as np
 
-from qkdlab.qstate import QuantumState
-
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -51,12 +49,6 @@ def apply_operator(
     arr = np.tensordot(op_t, arr, axes=(list(range(t, 2 * t)), list(targets)))
     arr = np.moveaxis(arr, range(t), targets)
     return arr.reshape(-1)
-
-
-def apply_unitary(state: QuantumState, u: np.ndarray, targets: tuple[int, ...]) -> QuantumState:
-    """Apply a unitary to the given subsystems, returning a new state."""
-    out = apply_operator(state.amplitudes, state.dims, np.asarray(u, dtype=complex), targets)
-    return QuantumState(out, state.dims)
 
 
 def pair_branches(

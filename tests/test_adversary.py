@@ -1,5 +1,6 @@
 """Tests for eavesdropping strategies and their exact evaluation."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -37,7 +38,7 @@ from qkdlab.qstate import (
     von_neumann_entropy,
 )
 from qkdlab.rng import stream
-from reference import apply_operator, apply_unitary, spin_projectors
+from reference import apply_operator, spin_projectors
 
 Z, X = AXIS_Z, AXIS_X
 
@@ -150,6 +151,38 @@ class TestCoherentAttackConstruction:
         with pytest.raises(ConfigError):
             bell_product_attack((0, 0), ancilla_dim=32)
 
+    @pytest.mark.parametrize("shape, value, what", [
+        ((4, 3, 1), 1.0, "length-4 pair axes"),
+        ((4,) * 7 + (1,), 1.0, "1..6 pairs"),
+        ((4, 4, 0), None, "ancilla dimension"),
+        ((4, 4, 17), 1.0, "ancilla dimension"),
+        ((4, 4, 1), 0.0, "norm 0.0"),
+        ((4, 4, 1), math.nan, "norm nan"),
+    ], ids=["pair-axis-3", "7-pairs", "ancilla-0", "ancilla-17", "zero-norm", "nan-norm"])
+    def test_constructor_checks(self, shape, value, what):
+        t = np.zeros(shape, dtype=complex)
+        if value is not None:
+            t.flat[0] = value
+        with pytest.raises(ConfigError, match=what):
+            CoherentAttack(t)
+
+    def test_amplitudes_are_a_read_only_copy(self):
+        t = np.zeros((4, 4, 2), dtype=complex)
+        t[0, 0, 0] = 1.0
+        atk = CoherentAttack(t)
+        t[0, 0, 0], t[1, 2, 1] = 0.0, 1.0
+        assert (atk.amplitudes[0, 0, 0], atk.amplitudes[1, 2, 1]) == (1.0, 0.0)
+        assert not atk.amplitudes.flags.writeable
+        with pytest.raises(ValueError):
+            atk.amplitudes[0, 0, 0] = 0.0
+
+    def test_bell_conversion_pinned(self):
+        rng = stream(430)
+        t = rng.normal(size=(4,) * 4 + (3,)) + 1j * rng.normal(size=(4,) * 4 + (3,))
+        atk = CoherentAttack.from_bell_amplitudes(t / np.linalg.norm(t))
+        assert hashlib.sha256(atk.amplitudes.tobytes()).hexdigest() == (
+            "e7b44d66cde78e0a9f68b15f121306731d032a67c1dde689247277ca9d28cd1e")
+
     def test_normalization_required(self):
         t = np.zeros((4, 4, 1), dtype=complex)
         t[0, 0, 0] = 0.5
@@ -169,9 +202,7 @@ class TestCoherentAttackConstruction:
             assert atk.n_pairs == n_pairs
             assert atk.ancilla_dim == ancilla_dim
             again = CoherentAttack.from_text(atk.to_text())
-            assert np.allclose(
-                again.state.amplitudes, atk.state.amplitudes, atol=1e-12
-            )
+            assert np.allclose(again.amplitudes, atk.amplitudes, atol=1e-12)
 
     def test_text_rejects_unnormalized(self):
         with pytest.raises(ConfigError, match="[Uu]nnormalized"):
@@ -341,7 +372,7 @@ def outcome_classes_reference(attack, indices, axes):
     commute across pairs and are orthogonal within a pair, so leaf norms are
     exact outcome-class probabilities.
     """
-    dims = attack.state.dims
+    dims = (2,) * (2 * attack.n_pairs) + (attack.ancilla_dim,)
 
     def rec(vec, i, errors):
         if i == len(indices):
@@ -353,7 +384,7 @@ def outcome_classes_reference(attack, indices, axes):
         yield from rec(apply_operator(vec, dims, anti, pair), i + 1, errors)
         yield from rec(apply_operator(vec, dims, np.eye(4) - anti, pair), i + 1, errors + 1)
 
-    yield from rec(attack.state.amplitudes, 0, 0)
+    yield from rec(attack.amplitudes.reshape(-1), 0, 0)
 
 
 def reference_law(attack, indices, axes):
@@ -466,7 +497,7 @@ class TestConditionalAncilla:
             eigvecs.append(
                 (np.linalg.eigh(up)[1][:, -1], np.linalg.eigh(down)[1][:, -1])
             )
-        amps = atk.state.amplitudes.reshape(2, 2, 2, 2, 3)
+        amps = atk.amplitudes.reshape(2, 2, 2, 2, 3)
         accum = np.zeros((3, 3), dtype=complex)
         total = 0.0
         for a0 in (0, 1):
@@ -504,7 +535,7 @@ class TestConditionalAncilla:
 class TestTypicalitySplit:
     def test_all_singlets_fully_atypical(self):
         atk = bell_product_attack((0, 0, 0, 0))
-        typical, atypical = typicality_split(4, 0.2, atk.state)
+        typical, atypical = typicality_split(atk, 0.2)
         assert atypical == pytest.approx(1.0, abs=1e-12)
         assert typical == pytest.approx(0.0, abs=1e-12)
 
@@ -512,7 +543,7 @@ class TestTypicalitySplit:
         # T = ceil(2*4*0.2) = 2: atypical vectors are the 13 with < 2 bad slots
         t = np.full((4, 4, 4, 4, 1), 1 / 16.0, dtype=complex)
         atk = CoherentAttack.from_bell_amplitudes(t)
-        typical, atypical = typicality_split(4, 0.2, atk.state)
+        typical, atypical = typicality_split(atk, 0.2)
         assert atypical == pytest.approx(13 / 256, abs=1e-12)
         assert typical + atypical == pytest.approx(1.0, abs=1e-9)
 
@@ -521,13 +552,14 @@ class TestTypicalitySplit:
         t = np.zeros((4, 4, 1), dtype=complex)
         t[1, 0, 0] = t[0, 0, 0] = t[2, 3, 0] = 1 / math.sqrt(3)
         atk = CoherentAttack.from_bell_amplitudes(t)
-        before = typicality_split(2, 0.2, atk.state)
-        state = atk.state
+        before = typicality_split(atk, 0.2)
+        dims = (2,) * 4 + (1,)
+        amps = atk.amplitudes.reshape(-1)
         for pair in range(2):
             r = random_rotation(rng)
-            state = apply_unitary(state, r, (2 * pair,))
-            state = apply_unitary(state, r, (2 * pair + 1,))
-        after = typicality_split(2, 0.2, state)
+            amps = apply_operator(amps, dims, r, (2 * pair,))
+            amps = apply_operator(amps, dims, r, (2 * pair + 1,))
+        after = typicality_split(CoherentAttack(amps.reshape(atk.amplitudes.shape)), 0.2)
         assert after[0] == pytest.approx(before[0], abs=1e-9)
         assert after[1] == pytest.approx(before[1], abs=1e-9)
 
@@ -551,7 +583,7 @@ class TestEveInfoDominance:
                 t[idx] = rng.normal(size=16) + 1j * rng.normal(size=16)
             t /= np.linalg.norm(t)
             atk = CoherentAttack.from_bell_amplitudes(t)
-            _, aty = typicality_split(n, eps, atk.state)
+            _, aty = typicality_split(atk, eps)
             assert aty == pytest.approx(1.0, abs=1e-9)
             m = int(rng.integers(1, 5))
             idxs = tuple(int(i) for i in rng.choice(4, size=m, replace=False))

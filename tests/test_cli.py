@@ -528,6 +528,18 @@ class TestAttackEval:
         assert code == 2 and "config error" in err
         assert peak < 2**20
 
+    @pytest.mark.parametrize("rows", ["00 0 1.0 0\n01 0 nan 0\n", "00 0 nan 0\n"],
+                             ids=["one-nan-row", "only-nan"])
+    @pytest.mark.parametrize("command", [
+        ["attack-eval", "--m", "1"],
+        ["simulate", "--n", "2", "--m", "1", "--attack", "coherent"],
+    ], ids=["attack-eval", "simulate"])
+    def test_nan_amplitudes_rejected(self, tmp_path, capsys, rows, command):
+        path = tmp_path / "atk.txt"
+        path.write_text(rows)
+        code, _, err = run_cli([*command, "--attack-file", str(path)], capsys)
+        assert code == 2 and "config error" in err
+
 
 class TestEquivalence:
     def test_summary_fields(self, capsys):

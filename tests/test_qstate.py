@@ -10,8 +10,6 @@ from qkdlab.qstate import (
     AXIS_X,
     AXIS_Z,
     DensityMatrix,
-    QuantumState,
-    bell_basis,
     bell_vectors,
     fidelity,
     measure_pair,
@@ -23,7 +21,7 @@ from qkdlab.qstate import (
     von_neumann_entropy,
 )
 from qkdlab.rng import stream
-from reference import apply_operator, apply_unitary, spin_projectors
+from reference import apply_operator, spin_projectors
 
 
 class TestBellBasis:
@@ -39,11 +37,6 @@ class TestBellBasis:
         assert np.allclose(vecs[1], [0, s, s, 0])
         assert np.allclose(vecs[2], [s, 0, 0, s])
         assert np.allclose(vecs[3], [s, 0, 0, -s])
-
-    def test_states_normalized(self):
-        for psi in bell_basis():
-            assert psi.dims == (2, 2)
-            assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0)
 
     def test_singlet_rotation_invariant(self):
         """The first basis state is fixed (up to phase) by any R (x) R."""
@@ -149,18 +142,18 @@ class TestSpinProjectors:
 class TestMeasurePair:
     def test_singlet_always_antiparallel(self):
         rng = stream(105)
-        psi0 = bell_basis()[0]
+        psi0 = bell_vectors()[0]
         for axis in random_axes(50, rng):
-            a, b, _ = measure_pair(psi0.amplitudes, axis, rng)
+            a, b, _ = measure_pair(psi0, axis, rng)
             assert a != b
 
     def test_triplet_z_antiparallel_x_parallel(self):
         rng = stream(106)
-        psi1 = bell_basis()[1]
+        psi1 = bell_vectors()[1]
         for _ in range(50):
-            a, b, _ = measure_pair(psi1.amplitudes, AXIS_Z, rng)
+            a, b, _ = measure_pair(psi1, AXIS_Z, rng)
             assert a != b
-            a, b, _ = measure_pair(psi1.amplitudes, AXIS_X, rng)
+            a, b, _ = measure_pair(psi1, AXIS_X, rng)
             assert a == b
 
     def test_nonsinglet_antiparallel_third_of_the_time(self):
@@ -168,7 +161,7 @@ class TestMeasurePair:
         rng = stream(107)
         n = 10 ** 5
         for which in (1, 2, 3):
-            psi = bell_basis()[which]
+            psi = bell_vectors()[which]
             axes = random_axes(n, rng)
             # closed form per axis: nz^2, ny^2, nx^2 for psi1, psi2, psi3
             comp = {1: 2, 2: 1, 3: 0}[which]
@@ -176,11 +169,11 @@ class TestMeasurePair:
             hits = (rng.random(n) < p_anti).sum()
             assert hits / n == pytest.approx(1 / 3, abs=0.01)
         # and the sampled measurement agrees on a smaller run
-        psi = bell_basis()[1]
+        psi = bell_vectors()[1]
         hits = 0
         trials = 2000
         for axis in random_axes(trials, rng):
-            a, b, _ = measure_pair(psi.amplitudes, axis, rng)
+            a, b, _ = measure_pair(psi, axis, rng)
             hits += a != b
         sigma = np.sqrt((1 / 3) * (2 / 3) / trials)
         assert abs(hits / trials - 1 / 3) < 3 * sigma
@@ -321,14 +314,13 @@ class TestRotationCovariance:
         amps = np.kron(np.kron(vecs[1], vecs[0]), vecs[3])
         before = self._count_projector_weights(amps, 3)
         assert before[2] == pytest.approx(1.0, abs=1e-12)
-        state = QuantumState(amps, (2,) * 6)
         for _ in range(20):
-            rotated = state
+            rotated = amps
             for pair in range(3):
                 r = random_rotation(rng)
-                rotated = apply_unitary(rotated, r, (2 * pair,))
-                rotated = apply_unitary(rotated, r, (2 * pair + 1,))
-            after = self._count_projector_weights(rotated.amplitudes, 3)
+                rotated = apply_operator(rotated, (2,) * 6, r, (2 * pair,))
+                rotated = apply_operator(rotated, (2,) * 6, r, (2 * pair + 1,))
+            after = self._count_projector_weights(rotated, 3)
             assert after[2] == pytest.approx(1.0, abs=1e-9)
 
 
