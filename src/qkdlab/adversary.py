@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import atypical_threshold, binary_entropy
-from .errors import ConfigError
+from .errors import ConfigError, RegimeError
 from .qstate import (
     NORM_ATOL,
     DensityMatrix,
@@ -417,8 +417,8 @@ def conditional_ancilla_state(attack: CoherentAttack, plan: TestPlan) -> Density
     """The attacker's ancilla state conditioned on the test passing.
 
     Averages the post-measurement ancilla over all passing outcome
-    branches, weighted by their Born probabilities.  Raises if the passing
-    probability vanishes (there is nothing to condition on).
+    branches, weighted by their Born probabilities.  Raises RegimeError if
+    the passing probability vanishes (there is nothing to condition on).
     """
     anc = attack.ancilla_dim
     axes = np.asarray(plan.axes, dtype=float)[None]
@@ -431,7 +431,7 @@ def conditional_ancilla_state(attack: CoherentAttack, plan: TestPlan) -> Density
         accum += mat.T @ mat.conj()
         total += np.vdot(mat, mat).real
     if total < 1e-12:
-        raise ValueError("passing probability is zero; no conditional state exists")
+        raise RegimeError("passing probability is zero; no conditional state exists")
     return DensityMatrix(accum / total)
 
 
@@ -444,7 +444,7 @@ def holevo_on_pass(attack: CoherentAttack, plan: TestPlan) -> float | None:
     """Holevo bound on the ancilla after the plan's test passes; None if it cannot pass."""
     try:
         return eve_info_bound(conditional_ancilla_state(attack, plan))
-    except ValueError:
+    except RegimeError:
         return None
 
 

@@ -45,14 +45,16 @@ def _check_fidelity(f: float) -> float:
     return f
 
 
+def label_probs(f: float) -> np.ndarray:
+    """Law of the Bell labels 0..3 (singlet, psi1..psi3): [F, (1-F)/3, (1-F)/3, (1-F)/3]."""
+    f = _check_fidelity(f)
+    return np.array([f] + [(1.0 - f) / 3.0] * 3)
+
+
 def werner_state(f: float) -> DensityMatrix:
     """Bell-diagonal mixture with singlet weight ``f`` and uniform triplet rest."""
-    f = _check_fidelity(f)
     rows = bell_vectors()
-    m = f * np.outer(rows[0], rows[0].conj())
-    for k in (1, 2, 3):
-        m = m + (1.0 - f) / 3.0 * np.outer(rows[k], rows[k].conj())
-    return DensityMatrix(m)
+    return DensityMatrix((rows.T * label_probs(f)) @ rows.conj())
 
 
 def antiparallel_prob(f: float) -> float:
@@ -75,9 +77,7 @@ def fidelity_from_epsilon(eps: float) -> float:
 
 def sample_pair_labels(f: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Sample ``n`` Bell labels (0 = singlet, 1..3 = triplets) from the mixture."""
-    f = _check_fidelity(f)
-    p = np.array([f, (1.0 - f) / 3.0, (1.0 - f) / 3.0, (1.0 - f) / 3.0])
-    return rng.choice(4, size=n, p=p)
+    return rng.choice(4, size=n, p=label_probs(f))
 
 
 def antiparallel_prob_given_label(labels: np.ndarray, axes: np.ndarray) -> np.ndarray:

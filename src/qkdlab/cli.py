@@ -10,8 +10,9 @@ Subcommands:
 A scenario JSON file (``--scenario``) overrides flags field by field.
 All randomness derives from ``--seed`` through per-trial counter-based
 streams, so a scenario re-run reproduces its outputs byte for byte.
-Exit codes: 0 on success, 2 for configuration errors, 3 for quantities
-outside a bound's validity regime.
+Exit codes: 0 on success, 2 for configuration errors (a file that cannot be
+read or written and a scenario file that is not UTF-8 JSON among them), 3 for
+quantities outside a bound's validity regime.
 """
 
 from __future__ import annotations
@@ -136,10 +137,8 @@ def _apply_scenario(args: argparse.Namespace) -> None:
     try:
         with open(args.scenario, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read scenario file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"scenario file is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"scenario file is not UTF-8 JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("scenario file must hold a JSON object")
     sub = next(a for a in build_parser()._actions if a.dest == "command")
@@ -171,8 +170,6 @@ def _check_scenario_value(flag: argparse.Action, value) -> None:
 def _load_attack_file(path) -> CoherentAttack:
     try:
         return CoherentAttack.from_file(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read attack file: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"bad attack file {path}: {exc}") from exc
 
@@ -220,6 +217,22 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def _csv(header, rows) -> str:
+    """CSV text of a header line and one line per row, each cell through _fmt."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(map(_fmt, row) for row in (header, *rows))
+    return buf.getvalue()
+
+
+def _write(text: str, path) -> None:
+    """Write ``text`` to the file ``path``, or to standard output without one."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def simulate_trial(
@@ -275,43 +288,30 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         threshold_mode=threshold_mode,
     )
 
-    rows = []
+    rows = []  # one tuple per trial, in CSV_COLUMNS order
     sifted_fractions = []
-    first_transcript = None
     for trial in range(args.trials):
         transcript, result = simulate_trial(
             args.protocol, config, chan, attack, args.seed, trial, args.kprime
         )
-        if trial == 0:
-            first_transcript = transcript
+        if trial == 0 and args.transcript:
+            transcript.write_jsonl(args.transcript)
         sifted_fractions.append(transcript.sifted_fraction)
-        rows.append(
-            {
-                "trial": trial,
-                "verdict": transcript.verdict,
-                "error_count": transcript.observed_error_count,
-                "m": transcript.test_size,
-                "qber_estimate": transcript.error_rate_estimate,
-                "sifted_len": int(transcript.sifted_key_a.size),
-                "final_len": 0 if result is None else result.final_length,
-                "leaked_bits": 0 if result is None else result.leaked_bits,
-                "eve_holevo_bits": transcript.eve_holevo_bits,
-            }
-        )
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow([_fmt(row[col]) for col in CSV_COLUMNS])
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
+        rows.append((
+            trial,
+            transcript.verdict,
+            transcript.observed_error_count,
+            transcript.test_size,
+            transcript.error_rate_estimate,
+            int(transcript.sifted_key_a.size),
+            0 if result is None else result.final_length,
+            0 if result is None else result.leaked_bits,
+            transcript.eve_holevo_bits,
+        ))
+    _write(_csv(CSV_COLUMNS, rows), args.out)
 
     if args.summary:
-        accepted = [r for r in rows if r["verdict"] == "accepted"]
+        col = dict(zip(CSV_COLUMNS, zip(*rows)))
         summary = {
             "protocol": args.protocol,
             "trials": args.trials,
@@ -324,20 +324,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "attack": args.attack,
             "seed": args.seed,
             "kprime": args.kprime,
-            "accept_rate": len(accepted) / args.trials,
-            "mean_qber_estimate": float(np.mean([r["qber_estimate"] for r in rows])),
+            "accept_rate": col["verdict"].count("accepted") / args.trials,
+            "mean_qber_estimate": float(np.mean(col["qber_estimate"])),
             "mean_sifted_fraction": float(np.mean(sifted_fractions)),
-            "mean_final_len": float(np.mean([r["final_len"] for r in rows])),
-            "mean_leaked_bits": float(np.mean([r["leaked_bits"] for r in rows])),
+            "mean_final_len": float(np.mean(col["final_len"])),
+            "mean_leaked_bits": float(np.mean(col["leaked_bits"])),
         }
         _emit_json(summary, args.summary)
-    if args.transcript and first_transcript is not None:
-        first_transcript.write_jsonl(args.transcript)
     return 0
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    check_kprime(args.kprime)  # before --out is opened: no partial grid file
+    check_kprime(args.kprime)  # before any bound is computed
     check_theta(args.theta)
     grid = bool(args.grid_n or args.grid_eps)
     unread = {"--n": args.n, "--epsilon": args.epsilon, "--summary": args.summary,
@@ -353,19 +351,20 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             epss = [float(x) for x in args.grid_eps.split(",") if x.strip()]
         except ValueError as exc:
             raise ConfigError(f"bad grid value: {exc}") from exc
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(GRID_COLUMNS)
-            for n in ns:
-                for eps in epss:
-                    try:
-                        report = atypical_dim_chain(n, eps)
-                    except RegimeError:
-                        row = {"n_pairs": n, "epsilon": eps, "in_regime": False}
-                    else:
-                        row = {**report.to_dict(), "in_regime": True,
-                               "secrecy_lower_bound": secrecy_lower_bound(eps, args.kprime)}
-                    writer.writerow([_fmt(row.get(col)) for col in GRID_COLUMNS])
+        if not (ns and epss):
+            raise ConfigError("grid mode needs at least one N and one epsilon")
+        rows = []
+        for n in ns:
+            for eps in epss:
+                try:
+                    report = atypical_dim_chain(n, eps)
+                except RegimeError:
+                    row = {"n_pairs": n, "epsilon": eps, "in_regime": False}
+                else:
+                    row = {**report.to_dict(), "in_regime": True,
+                           "secrecy_lower_bound": secrecy_lower_bound(eps, args.kprime)}
+                rows.append([row.get(col) for col in GRID_COLUMNS])
+        _write(_csv(GRID_COLUMNS, rows), args.out)
         return 0
     if args.n is None or args.epsilon is None:
         raise ConfigError("single-point mode needs --n and --epsilon")
@@ -421,12 +420,7 @@ def cmd_equivalence(args: argparse.Namespace) -> int:
 
 
 def _emit_json(payload: dict, path) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", path)
 
 
 def main(argv=None) -> int:
@@ -441,7 +435,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # an OSError's message names its path
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except RegimeError as exc:

@@ -314,11 +314,11 @@ def _pauli_flips(labels: np.ndarray, diag_basis: np.ndarray) -> np.ndarray:
     """Whether each Bell label flips a photon prepared in the given basis.
 
     Labels act on the flying photon as 0 -> identity, 1 -> Z, 2 -> Y,
-    3 -> X; Z flips diagonal eigenstates, X flips rectilinear ones, Y both.
+    3 -> X: a Pauli flips the eigenstates of every axis but its own, so
+    Z flips diagonal eigenstates, X flips rectilinear ones, Y both.
     """
-    flips_rect = (labels == 2) | (labels == 3)
-    flips_diag = (labels == 1) | (labels == 2)
-    return np.where(diag_basis, flips_diag, flips_rect)
+    own = channel_mod._LABEL_AXIS[labels]
+    return (own >= 0) & (own != np.where(diag_basis, 0, 2))  # diagonal: x, else z
 
 
 def run_bb84_session(
@@ -467,7 +467,7 @@ def epr_bb84_equivalence_check(
     """
     if n_samples < 1000:
         raise ConfigError("equivalence comparison needs at least 1000 samples")
-    fidelity = channel_mod._check_fidelity(fidelity)
+    p_label = channel_mod.label_probs(fidelity)
     if not 0.0 <= omega <= 1.0:
         raise ConfigError(f"omega {omega} outside [0, 1]")
     bits = np.arange(2)
@@ -483,7 +483,6 @@ def epr_bb84_equivalence_check(
     # Alice's bit is her outcome, Bob's bit flips his
     paired = (np.abs(amps) ** 2).reshape(4, 2, 2, 2, 2)[..., ::-1]
 
-    p_label = np.array([fidelity] + [(1.0 - fidelity) / 3.0] * 3)
     p_basis = np.array([1.0 - omega, omega])
     group_p = np.einsum("k,i,j->kij", p_label, p_basis, p_basis)
     distance = 0.5 * np.einsum("kij,kijxy->", group_p, np.abs(direct - paired))

@@ -18,6 +18,7 @@ from qkdlab.adversary import (
     conditional_ancilla_state,
     error_count_distribution,
     eve_info_bound,
+    holevo_on_pass,
     passing_probability,
     random_signal_pair,
     signal_preserving_unitary,
@@ -26,7 +27,7 @@ from qkdlab.adversary import (
 )
 from qkdlab.bounds import eve_info_upper
 from qkdlab.channel import ChannelModel
-from qkdlab.errors import ConfigError
+from qkdlab.errors import ConfigError, RegimeError
 from qkdlab.protocol import SessionConfig, run_bb84_session
 from qkdlab.qstate import (
     AXIS_X,
@@ -530,6 +531,21 @@ class TestConditionalAncilla:
         plan = TestPlan((0,), np.array([X]), 0, 0)
         with pytest.raises(ValueError):
             conditional_ancilla_state(atk, plan)
+
+    def test_holevo_on_pass_is_none_only_for_an_unpassable_plan(self):
+        # psi2 is parallel along z with certainty: the window (0, 0) never passes
+        unpassable = TestPlan((0,), np.array([Z]), 0, 0)
+        with pytest.raises(RegimeError):
+            conditional_ancilla_state(bell_product_attack((2,)), unpassable)
+        assert holevo_on_pass(bell_product_attack((2,)), unpassable) is None
+        # a malformed plan is an error, not a plan that cannot pass
+        atk = bell_product_attack((0, 0))
+        axes = random_axes(2, stream(427))
+        for plan, error in ((TestPlan((0, 5), axes, 0, 0), ConfigError),
+                            (TestPlan((0, 1), np.zeros((2, 3)), 0, 0), ValueError),
+                            (TestPlan((0, 1), np.full((2, 3), np.nan), 0, 0), ValueError)):
+            with pytest.raises(error):
+                holevo_on_pass(atk, plan)
 
 
 class TestTypicalitySplit:

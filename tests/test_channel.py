@@ -9,6 +9,7 @@ from qkdlab.channel import (
     antiparallel_prob_given_label,
     epsilon_from_fidelity,
     fidelity_from_epsilon,
+    label_probs,
     sample_common_axis_outcomes,
     sample_pair_labels,
     werner_state,
@@ -41,6 +42,13 @@ class TestWernerState:
     def test_range_check(self):
         with pytest.raises(ConfigError):
             werner_state(1.2)
+
+    def test_bell_diagonal_is_the_label_law(self):
+        vecs = bell_vectors()
+        for f in (0.0, 0.3, 0.97, 1.0):
+            diag = np.einsum("ki,ij,kj->k", vecs.conj(), werner_state(f).matrix, vecs)
+            assert np.allclose(diag, label_probs(f), atol=1e-12)
+            assert label_probs(f).sum() == pytest.approx(1.0, abs=1e-15)
 
 
 class TestFidelityDictionary:

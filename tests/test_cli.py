@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import qkdlab
+from qkdlab import cli
 from qkdlab.cli import CSV_COLUMNS, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -127,6 +128,18 @@ class TestConfigMistakes:
         ["equivalence", "--omega", "2"],
         ["attack-eval", "--attack-file", "ATTACK", "--m", "1", "--axis-samples", "0"],
         *(["simulate", "--scenario", f"SCENARIO:{name}"] for name in SCENARIO_MISTAKES),
+        ["bounds", "--grid-n", ",", "--grid-eps", ",", "--out", "g.csv"],
+        # files qkdlab cannot write (a directory that does not exist, or a
+        # directory where a file should be) or read (a scenario not in UTF-8)
+        *(["simulate", "--n", "200", "--m", "20", flag, "missing/f"]
+          for flag in ("--out", "--summary", "--transcript")),
+        ["simulate", "--n", "200", "--m", "20", "--out", "TMPDIR"],
+        ["bounds", "--grid-n", "50", "--grid-eps", "0.01", "--out", "missing/g.csv"],
+        ["bounds", "--n", "100", "--epsilon", "0.01", "--summary", "missing/s.json"],
+        ["attack-eval", "--attack-file", "ATTACK", "--m", "1", "--axis-samples", "10",
+         "--summary", "missing/s.json"],
+        ["equivalence", "--n", "1000", "--summary", "missing/s.json"],
+        ["simulate", "--scenario", "NOT_UTF8"],
     ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv).replace("SCENARIO:", ""))
     def test_exits_2(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
@@ -137,9 +150,25 @@ class TestConfigMistakes:
             elif arg.startswith("SCENARIO:"):
                 argv[i] = str(tmp_path / "scen.json")
                 (tmp_path / "scen.json").write_text(json.dumps(SCENARIO_MISTAKES[arg[9:]]))
+            elif arg == "NOT_UTF8":
+                argv[i] = str(tmp_path / "scen.json")
+                (tmp_path / "scen.json").write_bytes('{"n": 200}'.encode("utf-16"))
+            elif arg == "TMPDIR":
+                argv[i] = str(tmp_path)
         code, _, err = run_cli(argv, capsys)
         assert code == 2
         assert "config error" in err
+
+    def test_unwritable_transcript_stops_after_trial_0(self, tmp_path, monkeypatch, capsys):
+        """Trial 0's transcript is written as soon as trial 0 ends."""
+        calls = []
+        simulate_trial = cli.simulate_trial
+        monkeypatch.setattr("qkdlab.cli.simulate_trial",
+                            lambda *a: calls.append(a) or simulate_trial(*a))
+        code, _, err = run_cli(["simulate", "--n", "200", "--m", "20", "--trials", "3",
+                                "--transcript", str(tmp_path / "missing" / "t.jsonl")], capsys)
+        assert (code, len(calls)) == (2, 1)
+        assert "config error" in err and "t.jsonl" in err
 
     def test_checked_before_any_work(self, tmp_path, monkeypatch, capsys):
         def no_work(*args, **kwargs):

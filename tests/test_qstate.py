@@ -293,19 +293,14 @@ class TestRotationCovariance:
     def _count_projector_weights(self, amps, n_pairs):
         """Weight of the state on each non-singlet-count subspace."""
         vecs = bell_vectors()
-        tensor = amps.reshape((4,) * n_pairs) if n_pairs > 1 else amps
         # transform each pair axis to the Bell basis
-        out = amps.reshape((4,) * n_pairs).copy()
+        out = amps.reshape((4,) * n_pairs)
         for ax in range(n_pairs):
             out = np.tensordot(vecs.conj(), out, axes=([1], [ax]))
             out = np.moveaxis(out, 0, ax)
-        weights = np.zeros(n_pairs + 1)
-        flat = out.reshape(-1)
-        for idx in range(flat.size):
-            digits = np.base_repr(idx, base=4).zfill(n_pairs)
-            n_nonsinglet = sum(d != "0" for d in digits)
-            weights[n_nonsinglet] += abs(flat[idx]) ** 2
-        return weights
+        n_nonsinglet = (np.indices(out.shape) != 0).sum(axis=0)
+        return np.bincount(n_nonsinglet.ravel(), weights=np.abs(out.ravel()) ** 2,
+                           minlength=n_pairs + 1)
 
     def test_counts_preserved_under_pair_rotations(self):
         rng = stream(111)
