@@ -23,14 +23,14 @@ reshapes the attack tensor into a matrix X whose rows run over the tested
 pairs, so that X X^dagger = rho_S.  Each tested pair is then rotated by
 V(n) (x) V(n) with :func:`qkdlab.qstate.rotate_pairs`, the same kernel a
 coherent session measures with, so that "parallel along n" becomes the
-computational outcomes 00 and 11.  The squared row
-norms of the rotated matrix, grouped by how many pairs came out parallel,
-are the exact error-count law.  The conditional
-ancilla state keeps the untested pairs and the ancilla as the columns and
-sums the passing rows.  Monte Carlo averages over axes rotate the samples
-that share a tested subset together, in batches of about 1 MB.  The dense
-state of 4^N times the ancilla dimension amplitudes is why coherent
-attacks are capped at 6 pairs and ancilla dimension 16.
+computational outcomes 00 and 11.  The squared row norms of the rotated
+matrix, grouped by how many pairs came out parallel, are the exact
+error-count law.  The conditional ancilla state keeps the untested pairs and
+the ancilla as the columns and sums the passing rows.  Averaged over its
+axis, a pair's parallel projector is Bell-diagonal, so axis averages are
+exact sums over Bell weights (:func:`axis_averaged_passing_probability`).
+The dense state of 4^N times the ancilla dimension amplitudes is why
+coherent attacks are capped at 6 pairs and ancilla dimension 16.
 
 The typicality split weighs an attack on the low-count ("atypical")
 subspace, whose dimension is bounded in :mod:`qkdlab.bounds`.  Passing a
@@ -59,7 +59,6 @@ from .qstate import (
     NORM_ATOL,
     DensityMatrix,
     bell_vectors,
-    random_axes,
     random_unitary,
     rotate_pairs,
     von_neumann_entropy,
@@ -304,8 +303,6 @@ def _check_indices(indices: tuple[int, ...], n_pairs: int | None = None) -> None
         )
 
 
-# Amplitudes one batch of rotated samples may hold (16 bytes each: ~1 MB).
-_BATCH_AMPLITUDES = 1 << 16
 # Whether a rotated pair index (2a + b for outcomes a, b) counts as parallel.
 _PARALLEL = np.array([1, 0, 0, 1])
 # Whether a Bell label is a non-singlet slot.
@@ -329,14 +326,9 @@ def _slot_counts(table: np.ndarray, m: int) -> np.ndarray:
     return counts
 
 
-def _error_count_laws(x: np.ndarray, axes: np.ndarray) -> np.ndarray:
-    """(B, m+1) error-count laws of a tested matrix under B axis sets."""
-    m = axes.shape[1]
-    rotated = rotate_pairs(x, axes)
-    # squared moduli summed along each row, read as (real, imaginary) float pairs
-    parts = rotated.view(np.float64).reshape(rotated.shape[:2] + (-1,))
-    probs = np.einsum("brc,brc->br", parts, parts)
-    return probs @ (_slot_counts(_PARALLEL, m)[:, None] == np.arange(m + 1)).astype(float)
+def _bell_weights(attack: CoherentAttack) -> np.ndarray:
+    """Weight of each Bell word: |Bell amplitude|^2 summed over the ancilla."""
+    return (np.abs(attack.bell_amplitudes()) ** 2).sum(axis=-1)
 
 
 def error_count_distribution(
@@ -346,35 +338,17 @@ def error_count_distribution(
     ``indices`` are tested along ``axes``: entry k is P(k errors)."""
     if np.shape(axes) != (len(indices), 3):
         raise ConfigError("one axis per tested pair is required")
-    x = _tested_matrix(attack, tuple(indices))
-    return _error_count_laws(x, np.asarray(axes, dtype=float)[None])[0]
+    m = len(indices)
+    # squared moduli summed along each row, read as (real, imaginary) float pairs
+    parts = rotate_pairs(_tested_matrix(attack, tuple(indices)), axes).view(np.float64)
+    probs = np.einsum("rc,rc->r", parts, parts)
+    return probs @ (_slot_counts(_PARALLEL, m)[:, None] == np.arange(m + 1)).astype(float)
 
 
 def passing_probability(attack: CoherentAttack, plan: TestPlan) -> float:
     """Exact probability that the attack state passes the plan's test."""
     probs = error_count_distribution(attack, plan.indices, plan.axes)
     return float(probs[plan.accept_lo : plan.accept_hi + 1].sum())
-
-
-def _passing_values(
-    attack: CoherentAttack, pairs: np.ndarray, axes: np.ndarray, lo: int, hi: int
-) -> np.ndarray:
-    """Passing probability of each sampled plan: row s tests the pairs
-    ``pairs[s]`` along the axes ``axes[s]`` and passes with lo..hi errors."""
-    # list each subset in increasing order, so one tested matrix serves its samples
-    order = np.argsort(pairs, axis=1)
-    pairs = np.take_along_axis(pairs, order, axis=1)
-    axes = np.take_along_axis(axes, order[..., None], axis=1)
-    subsets, which = np.unique(pairs, axis=0, return_inverse=True)
-    values = np.empty(len(pairs))
-    for k, subset in enumerate(subsets):
-        rows = np.flatnonzero(which.reshape(-1) == k)
-        x = _tested_matrix(attack, tuple(int(i) for i in subset))
-        step = max(1, _BATCH_AMPLITUDES // x.size)
-        for start in range(0, rows.size, step):
-            batch = rows[start : start + step]
-            values[batch] = _error_count_laws(x, axes[batch])[:, lo : hi + 1].sum(axis=1)
-    return values
 
 
 def axis_averaged_passing_probability(
@@ -385,12 +359,15 @@ def axis_averaged_passing_probability(
     accept: tuple[int, int] = (0, 0),
     indices: tuple[int, ...] | None = None,
 ) -> tuple[float, float]:
-    """Monte-Carlo average of the exact passing probability over plans.
+    """Passing probability averaged exactly over uniform axes and sampled
+    over test subsets: each sample draws a uniformly random m-subset S of
+    tested pairs, or takes ``indices``.
 
-    Each sample draws, in this order, a uniformly random m-subset of tested
-    pairs (only when ``indices`` is None) and fresh uniform axes.  Samples
-    that test the same subset share one tested matrix and are scored in
-    batches.  Returns the mean and its standard error.
+    Averaged over its axis, a pair's parallel projector is
+    (I + sigma.sigma/3)/2: 0 on the singlet, 2/3 on each triplet.  So S
+    passes with probability sum_w W(w) P(lo <= Binomial(j_S(w), 2/3) <= hi),
+    W(w) being the Bell weight of the word w and j_S(w) its non-singlet
+    slots in S.  Returns the mean over samples and its standard error.
     """
     if not 1 <= m <= attack.n_pairs:
         raise ConfigError(f"test size {m} outside 1..{attack.n_pairs}")
@@ -402,12 +379,19 @@ def axis_averaged_passing_probability(
         _check_indices(indices, attack.n_pairs)
     lo, hi = accept
     _check_accept(lo, hi, m)
-    pairs = np.empty((n_samples, m), dtype=np.int64)
-    axes = np.empty((n_samples, m, 3))
+    weights = _bell_weights(attack)
+    # P(lo <= Binomial(j, 2/3) <= hi), read at each tested word's non-singlet count j
+    law = [sum(math.comb(j, k) * 2**k for k in range(lo, hi + 1)) / 3**j for j in range(m + 1)]
+    passes = np.array(law)[_slot_counts(_NONSINGLET, m)]
+    by_subset: dict[tuple[int, ...], float] = {}
+    values = np.empty(n_samples)
     for s in range(n_samples):
-        pairs[s] = indices if indices is not None else rng.choice(attack.n_pairs, m, replace=False)
-        axes[s] = random_axes(m, rng)
-    values = _passing_values(attack, pairs, axes, lo, hi)
+        pairs = indices if indices is not None else rng.choice(attack.n_pairs, m, replace=False)
+        subset = tuple(sorted(int(i) for i in pairs))
+        if subset not in by_subset:
+            untested = tuple(i for i in range(attack.n_pairs) if i not in subset)
+            by_subset[subset] = float(weights.sum(axis=untested).reshape(-1) @ passes)
+        values[s] = by_subset[subset]
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
     return mean, stderr
@@ -421,8 +405,7 @@ def conditional_ancilla_state(attack: CoherentAttack, plan: TestPlan) -> Density
     the passing probability vanishes (there is nothing to condition on).
     """
     anc = attack.ancilla_dim
-    axes = np.asarray(plan.axes, dtype=float)[None]
-    x = rotate_pairs(_tested_matrix(attack, plan.indices), axes)[0]
+    x = rotate_pairs(_tested_matrix(attack, plan.indices), plan.axes)
     counts = _slot_counts(_PARALLEL, len(plan.indices))
     accum = np.zeros((anc, anc), dtype=complex)
     total = 0.0
@@ -458,7 +441,7 @@ def typicality_split(attack: CoherentAttack, eps: float) -> tuple[float, float]:
     """
     n_pairs = attack.n_pairs
     t = atypical_threshold(n_pairs, eps)
-    weights = (np.abs(attack.bell_amplitudes()) ** 2).sum(axis=-1)
+    weights = _bell_weights(attack)
     atypical = float(weights[_slot_counts(_NONSINGLET, n_pairs).reshape(weights.shape) < t].sum())
     return float(weights.sum() - atypical), atypical
 

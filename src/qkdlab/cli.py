@@ -116,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     atk.add_argument("--m", type=int, required=True, help="tested pairs per plan")
     atk.add_argument("--epsilon", type=float, default=None)
     atk.add_argument("--theta", type=float, default=0.0)
-    atk.add_argument("--axis-samples", dest="axis_samples", type=int, default=1000)
+    atk.add_argument("--axis-samples", dest="axis_samples", type=int, default=1000,
+                     help="sampled test subsets; the axes are averaged exactly")
     atk.add_argument("--seed", type=int, default=0)
     atk.add_argument("--accept-lo", dest="accept_lo", type=int, default=0)
     atk.add_argument("--accept-hi", dest="accept_hi", type=int, default=0)

@@ -123,21 +123,21 @@ def spin_frames(axes) -> np.ndarray:
 
 
 def rotate_pairs(x: np.ndarray, axes: np.ndarray) -> np.ndarray:
-    """Rotate the leading pairs of ``x`` into their axes, once per axis set.
+    """Rotate the leading pairs of ``x`` into their axes.
 
     ``x`` is (4^m, cols), its row index running over m pairs, the first most
-    significant; ``axes`` is (B, m, 3), row i of each set being the axis of
-    pair i.  Pair i is rotated by V(n) (x) V(n) (see :func:`spin_frames`),
-    so rotated index 2a + b holds outcome a for Alice and b for Bob, and the
-    pair came out parallel exactly when that index is 00 or 11.  Returns the
-    (B, 4^m, cols) rotated amplitudes.
+    significant; ``axes`` is (m, 3), row i being the axis of pair i.  Pair i
+    is rotated by V(n) (x) V(n) (see :func:`spin_frames`), so rotated index
+    2a + b holds outcome a for Alice and b for Bob, and the pair came out
+    parallel exactly when that index is 00 or 11.  Returns the (4^m, cols)
+    rotated amplitudes.
     """
     v = spin_frames(axes)
-    w = np.einsum("...ac,...bd->...abcd", v, v).reshape(v.shape[:-2] + (4, 4))
-    out = x[None]
-    for i in range(w.shape[1]):
-        out = w[:, i, None] @ out.reshape(out.shape[0], 4**i, 4, -1)
-    return out.reshape(w.shape[0], *x.shape)
+    w = np.einsum("iac,ibd->iabcd", v, v).reshape(-1, 4, 4)
+    out = x
+    for i, wi in enumerate(w):
+        out = wi @ out.reshape(4**i, 4, -1)
+    return out.reshape(x.shape)
 
 
 def measure_pair(
@@ -150,7 +150,7 @@ def measure_pair(
     rotated rows (see :func:`rotate_pairs`).  Returns (outcome_a, outcome_b,
     the normalized amplitudes of everything after the pair).
     """
-    rotated = rotate_pairs(np.reshape(amps, (4, -1)), np.reshape(axis, (1, 1, -1)))[0]
+    rotated = rotate_pairs(np.reshape(amps, (4, -1)), np.reshape(axis, (1, -1)))
     probs = np.einsum("rc,rc->r", rotated.conj(), rotated).real
     total = probs.sum()
     if abs(total - 1.0) > 1e-6:

@@ -1,6 +1,7 @@
 """Tests for eavesdropping strategies and their exact evaluation."""
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -266,7 +267,8 @@ class TestPassingProbability:
             atk, 4, rng, n_samples=20000, indices=(0, 1, 2, 3)
         )
         want = 0.5 + 0.5 * (1 / 3) ** 4
-        assert abs(mean - want) < 4 * stderr
+        assert abs(mean - want) <= 1e-12
+        assert stderr <= 1e-12
 
     def test_permutation_invariance_common_axis(self):
         # same label multiset, permuted slots, one common axis: exact match
@@ -304,6 +306,7 @@ class TestPassingProbability:
             raise AssertionError("sampled before the plan was checked")
 
         monkeypatch.setattr("qkdlab.adversary.rotate_pairs", no_work)
+        monkeypatch.setattr("qkdlab.adversary._bell_weights", no_work)
         atk = bell_product_attack((0, 0, 0, 0))
         rng = stream(424)
         for accept, indices in (((0, 5), None), ((2, 1), None), ((-1, 0), None),
@@ -408,9 +411,25 @@ def reference_conditional_ancilla(attack, plan):
     return accum, total
 
 
+def coordinate_axis_average(attack, indices, lo, hi):
+    """The passing probability averaged over the 3^m plans whose axes are
+    each x, y or z.
+
+    Each pair's parallel projector is quadratic in its axis, and the three
+    coordinate axes average any quadratic form to its sphere average, so
+    this is the exact average over uniform axes.  Each plan is scored by the
+    rotation kernel, which ``test_matches_outcome_class_walk`` checks against
+    the outcome walk; walking all 3^m plans of a six-pair attack takes
+    minutes."""
+    plans = itertools.product(np.eye(3), repeat=len(indices))
+    laws = [error_count_distribution(attack, indices, np.array(axes)) for axes in plans]
+    return np.mean(laws, axis=0)[lo : hi + 1].sum()
+
+
 def reference_axis_average(attack, m, rng, n_samples, accept, indices):
-    """One walk per sample, drawing a subset (unless given) and then axes."""
-    lo, hi = accept
+    """Per sample, a drawn subset (unless given) scored by its coordinate-axis
+    average, once per distinct subset."""
+    by_subset = {}
     values = np.empty(n_samples)
     for s in range(n_samples):
         pairs = (
@@ -418,7 +437,9 @@ def reference_axis_average(attack, m, rng, n_samples, accept, indices):
             if indices is not None
             else tuple(int(i) for i in rng.choice(attack.n_pairs, size=m, replace=False))
         )
-        values[s] = reference_law(attack, pairs, random_axes(m, rng))[lo : hi + 1].sum()
+        if pairs not in by_subset:
+            by_subset[pairs] = coordinate_axis_average(attack, pairs, *accept)
+        values[s] = by_subset[pairs]
     stderr = values.std(ddof=1) / math.sqrt(n_samples) if n_samples > 1 else 0.0
     return values.mean(), stderr
 
@@ -453,6 +474,21 @@ class TestTestedPairReduction:
         assert abs(got[0] - want[0]) <= 1e-12
         assert abs(got[1] - want[1]) <= 1e-12
         assert np.array_equal(rng.random(4), ref_rng.random(4))
+
+    @settings(max_examples=20)
+    @given(attack_and_plan(max_pairs=6, max_ancilla=16))
+    def test_sampled_subsets_average_to_the_exact_mean(self, case):
+        """Drawn subsets average to within 3 sigma of the mean over all
+        C(N, m) subsets, each scored exactly with fixed ``indices``."""
+        atk, plan, seed = case
+        m = len(plan.indices)
+        accept = (plan.accept_lo, plan.accept_hi)
+        exact = np.mean([
+            axis_averaged_passing_probability(atk, m, stream(seed), 1, accept, subset)[0]
+            for subset in itertools.combinations(range(atk.n_pairs), m)
+        ])
+        mean, stderr = axis_averaged_passing_probability(atk, m, stream(seed, 2), 400, accept)
+        assert abs(mean - exact) <= 3 * stderr + 1e-12
 
 
 class TestConditionalAncilla:

@@ -176,6 +176,7 @@ class TestConfigMistakes:
 
         monkeypatch.setattr("qkdlab.cli.simulate_trial", no_work)
         monkeypatch.setattr("qkdlab.adversary.rotate_pairs", no_work)
+        monkeypatch.setattr("qkdlab.adversary._bell_weights", no_work)
         atk = write_attack_file(tmp_path / "atk.txt", 4)
         grid = tmp_path / "grid.csv"
         for argv in (
@@ -321,7 +322,7 @@ class TestSimulateOutputs:
         assert digests == {
             "sim.csv": "12c32d765178e7127ca28f7ef4d9343d483c14d560dedc064def8f5ac85bbff3",
             "sim.jsonl": "be569d638117c35fdaa0862161536ba8b27c2eea10d4babfebb11eb87c3502aa",
-            "ae.json": "ec756235f757a967539b0ee42c08f79b9c35426170dab18c43e8e524ff33cc69",
+            "ae.json": "e92275616b8f5fb2d32a1ff41f2b624bd847a08e859f4a1ddba1b71f477b97b3",
         }
 
     def test_bounds_outputs_pinned(self, tmp_path, monkeypatch, capsys):
@@ -379,7 +380,7 @@ class TestSimulateOutputs:
         data = json.loads(out)
         assert (data["holevo_bits_sample_plan"], data["holevo_within_upper"]) == (None, None)
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "d761db4df4ca85650cdfcc5756122383155f7ec5b8bf609b8d18f8b5be0c1041")
+            "0421ddbb34aba2fed7c8e636a5a8e5a511634ccde0a802eb8594a995572eba50")
         # the window [1, 1] needs one error; singlets never err
         assert run_cli(["simulate", "--n", "2", "--m", "2", "--epsilon", "0.5",
                         "--threshold-mode", "window", "--attack", "coherent",

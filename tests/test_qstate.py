@@ -230,7 +230,7 @@ class TestPairKernel:
         rng, oracle_rng = stream(seed, 1), stream(seed, 1)
         rest, full = amps, amps
         for t, axis in enumerate(axes):
-            rotated = rotate_pairs(rest.reshape(4, -1), axis[None, None])[0]
+            rotated = rotate_pairs(rest.reshape(4, -1), axis[None])
             probs = np.einsum("rc,rc->r", rotated.conj(), rotated).real
             a, b, rest = measure_pair(rest, axis, rng)
             want_a, want_b, full, want_probs = reference.measure_pair(full, dims, t, axis,
