@@ -10,8 +10,8 @@ Three attack families are modeled:
 
         sum_{i1..iN} a_{i1..iN, r} |psi_i1> ... |psi_iN> |r>,
 
-    stored as one amplitude tensor in the computational pair basis
-    (:class:`CoherentAttack`).
+    stored as the tensor of the a's, one Bell-label axis per pair and one
+    ancilla axis (:class:`CoherentAttack`).
 
 For a test plan (which pairs are compared, along which axes, and how many
 parallel outcomes are tolerated) the module computes the exact passing
@@ -19,18 +19,19 @@ probability, the attacker's ancilla state conditioned on passing, and the
 Holevo bound S(rho) on what she can learn from it (:func:`holevo_on_pass`).
 
 A test of the pairs S sees only their reduced state rho_S.  The scoring
-reshapes the attack tensor into a matrix X whose rows run over the tested
-pairs, so that X X^dagger = rho_S.  Each tested pair is then rotated by
-V(n) (x) V(n) with :func:`qkdlab.qstate.rotate_pairs`, the same kernel a
-coherent session measures with, so that "parallel along n" becomes the
-computational outcomes 00 and 11.  The squared row norms of the rotated
-matrix, grouped by how many pairs came out parallel, are the exact
-error-count law.  The conditional ancilla state keeps the untested pairs and
-the ancilla as the columns and sums the passing rows.  Averaged over its
-axis, a pair's parallel projector is Bell-diagonal, so axis averages are
-exact sums over Bell weights (:func:`axis_averaged_passing_probability`).
-The dense state of 4^N times the ancilla dimension amplitudes is why
-coherent attacks are capped at 6 pairs and ancilla dimension 16.
+reshapes the attack tensor into a matrix X whose rows run over the Bell
+labels of the tested pairs, so that X X^dagger = rho_S in that basis.  Each
+tested pair is then taken from its Bell label to its outcomes along n by
+:func:`qkdlab.qstate.rotate_pairs`, the same kernel a coherent session
+measures with, so that "parallel along n" becomes the outcomes 00 and 11.
+The squared row norms of the rotated matrix, grouped by how many pairs came
+out parallel, are the exact error-count law.  The conditional ancilla state
+keeps the untested pairs and the ancilla as the columns and sums the passing
+rows.  Averaged over its axis, a pair's parallel projector is Bell-diagonal,
+so axis averages are exact sums over the stored amplitudes' squared moduli
+(:func:`axis_averaged_passing_probability`).  The dense state of 4^N times
+the ancilla dimension amplitudes is why coherent attacks are capped at 6
+pairs and ancilla dimension 16.
 
 The typicality split weighs an attack on the low-count ("atypical")
 subspace, whose dimension is bounded in :mod:`qkdlab.bounds`.  Passing a
@@ -58,7 +59,6 @@ from .errors import ConfigError, RegimeError
 from .qstate import (
     NORM_ATOL,
     DensityMatrix,
-    bell_vectors,
     random_unitary,
     rotate_pairs,
     von_neumann_entropy,
@@ -139,34 +139,22 @@ def substitute_pairs(
 # coherent attacks
 
 
-def _per_pair(matrix: np.ndarray, arr: np.ndarray) -> np.ndarray:
-    """Apply the 4x4 ``matrix`` to every pair axis of ``arr`` (all but the last)."""
-    for i in range(arr.ndim - 1):
-        arr = np.moveaxis(np.tensordot(matrix, arr, axes=([1], [i])), 0, i)
-    return arr
-
-
-def _pair_tensor(amplitudes) -> np.ndarray:
-    """``amplitudes`` as a complex array of pair axes of length 4 and an ancilla axis."""
-    arr = np.asarray(amplitudes, dtype=complex)
-    if arr.ndim < 2 or any(d != 4 for d in arr.shape[:-1]):
-        raise ConfigError(f"need length-4 pair axes and an ancilla axis, got shape {arr.shape}")
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class CoherentAttack:
     """A joint pure state of N pairs plus one ancilla block.
 
-    ``amplitudes`` is a read-only (4,)*N + (ancilla,) tensor in the
-    computational pair basis: index 2a + b on axis t holds Alice's qubit a
-    and Bob's qubit b of pair t.
+    ``amplitudes`` is a read-only (4,)*N + (ancilla,) tensor over Bell
+    labels, singlet first: entry (i1, ..., iN, r) is a_{i1..iN, r} of the
+    module docstring.  The last axis is always the ancilla, even when it has
+    dimension 4; an attack without an ancilla has an ancilla axis of length 1.
     """
 
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(_pair_tensor(self.amplitudes), order="C")
+        arr = np.array(self.amplitudes, dtype=complex, order="C")
+        if arr.ndim < 2 or any(d != 4 for d in arr.shape[:-1]):
+            raise ConfigError(f"need length-4 pair axes and an ancilla axis, not {arr.shape}")
         if arr.ndim - 1 > MAX_PAIRS:
             raise ConfigError(f"coherent attacks support 1..{MAX_PAIRS} pairs, got {arr.ndim - 1}")
         if not 1 <= arr.shape[-1] <= MAX_ANCILLA_DIM:
@@ -185,15 +173,6 @@ class CoherentAttack:
     @property
     def ancilla_dim(self) -> int:
         return self.amplitudes.shape[-1]
-
-    @classmethod
-    def from_bell_amplitudes(cls, amplitudes: np.ndarray) -> "CoherentAttack":
-        """Build from a (4,)*N + (ancilla,) tensor of Bell-label amplitudes.
-
-        The last axis is always the ancilla, even when it has dimension 4;
-        an attack without an ancilla passes an ancilla axis of length 1.
-        """
-        return cls(_per_pair(bell_vectors().T, _pair_tensor(amplitudes)))
 
     @classmethod
     def from_text(cls, text: str) -> "CoherentAttack":
@@ -239,7 +218,7 @@ class CoherentAttack:
         arr = np.zeros((4,) * n_pairs + (anc_max + 1,), dtype=complex)
         for (labels, anc), value in entries.items():
             arr[tuple(int(c) for c in labels) + (anc,)] = value
-        return cls.from_bell_amplitudes(arr)
+        return cls(arr)
 
     @classmethod
     def from_file(cls, path) -> "CoherentAttack":
@@ -248,7 +227,7 @@ class CoherentAttack:
 
     def to_text(self) -> str:
         """Serialize the nonzero Bell-basis amplitudes in the row format."""
-        arr = self.bell_amplitudes()
+        arr = self.amplitudes
         lines = []
         for idx in np.ndindex(*arr.shape):
             v = arr[idx]
@@ -258,9 +237,6 @@ class CoherentAttack:
                     f"{labels} {idx[-1]} {float(v.real)!r} {float(v.imag)!r}"
                 )
         return "\n".join(lines) + "\n"
-
-    def bell_amplitudes(self) -> np.ndarray:
-        return _per_pair(bell_vectors().conj(), self.amplitudes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,7 +304,7 @@ def _slot_counts(table: np.ndarray, m: int) -> np.ndarray:
 
 def _bell_weights(attack: CoherentAttack) -> np.ndarray:
     """Weight of each Bell word: |Bell amplitude|^2 summed over the ancilla."""
-    return (np.abs(attack.bell_amplitudes()) ** 2).sum(axis=-1)
+    return (np.abs(attack.amplitudes) ** 2).sum(axis=-1)
 
 
 def error_count_distribution(

@@ -29,6 +29,8 @@ from dataclasses import asdict, dataclass
 from .errors import ConfigError, RegimeError
 
 CHAIN_ATOL = 1e-9  # float slack of the log2 links of the bound chain
+# 2^14283 < 10^4300: an integer of at most this many bits prints within 4,300 digits
+MAX_PRINTED_INT_BITS = 14_283
 
 
 def binary_entropy(x: float) -> float:
@@ -140,7 +142,13 @@ class BoundReport:
         )
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "chain_holds": self.chain_holds()}
+        """The fields and ``chain_holds``; an exact integer that may print past
+        4,300 digits, the limit of Python's int-to-str and so of json, is None."""
+        d = asdict(self)
+        for key in ("exact_count", "l1", "l2"):
+            if d[key].bit_length() > MAX_PRINTED_INT_BITS:
+                d[key] = None
+        return {**d, "chain_holds": self.chain_holds()}
 
 
 def atypical_dim_chain(n_pairs: int, eps: float) -> BoundReport:

@@ -371,19 +371,11 @@ def run_bb84_session(
             f"cannot form a two-basis test: {diag_matched.size} diagonal-matched "
             f"and {rect_matched.size} rectilinear-matched positions"
         )
-    diag_test = (
-        diag_matched
-        if diag_matched.size == k
-        else rng.choice(diag_matched, size=k, replace=False)
-    )
-    rect_test = (
-        rect_matched
-        if rect_matched.size == k
-        else rng.choice(rect_matched, size=k, replace=False)
-    )
     in_test = np.zeros(n, dtype=bool)
-    in_test[diag_test] = True
-    in_test[rect_test] = True
+    # k of each class, the diagonal drawn first; a class of exactly k is tested whole
+    for matched_class in (diag_matched, rect_matched):
+        drawn = matched_class.size > k
+        in_test[rng.choice(matched_class, k, replace=False) if drawn else matched_class] = True
 
     m_t = int(in_test.sum())
     errors = int((bits_a[in_test] != outcome_b[in_test]).sum())

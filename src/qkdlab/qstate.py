@@ -1,14 +1,14 @@
 """Dense linear algebra for small multi-qubit systems.
 
 A pure state is a raw amplitude array whose leading axes are pairs of
-length 4 (index 2a + b for Alice's qubit a and Bob's qubit b), optionally
-followed by an ancilla block; a density matrix is a checked square
-matrix.  A pair is measured along an
-axis n in one way only: :func:`rotate_pairs` rotates it by V(n) (x) V(n),
-V's rows being <up_n| and <down_n| (:func:`spin_frames`), so that each of
-the four joint outcomes is one rotated row.  Everything is dense and
-double precision: the intended regime is a handful of qubit pairs plus a
-small ancilla, not general circuit simulation.
+length 4, indexed by Bell label (psi0..psi3 below), optionally followed by
+an ancilla block; a density matrix is a checked square matrix over the
+computational basis.  A pair is measured along an axis n in one way only:
+:func:`rotate_pairs` takes it by (V(n) (x) V(n)) B, B's columns being the
+Bell states (:data:`BELL_BASIS`) and V's rows <up_n| and <down_n|
+(:func:`spin_frames`), so that each joint outcome is one rotated row.
+Everything is dense and double precision: the intended regime is a handful
+of qubit pairs plus a small ancilla, not general circuit simulation.
 
 Conventions:
   * Measurement outcomes are 0 for spin up and 1 for spin down along the
@@ -33,8 +33,12 @@ EIG_ATOL = 1e-6
 # an axis is a 3-vector; these two are the rectilinear and diagonal bases
 AXIS_Z = np.array([0.0, 0.0, 1.0])
 AXIS_X = np.array([1.0, 0.0, 0.0])
+# column k is psi_k over |00, 01, 10, 11>: it takes a pair's Bell label to its qubits
+BELL_BASIS = np.array([[0, 0, 1, 1], [1, 1, 0, 0], [-1, 1, 0, 0], [0, 0, 1, -1]],
+                      dtype=complex) / math.sqrt(2.0)
 AXIS_Z.setflags(write=False)
 AXIS_X.setflags(write=False)
+BELL_BASIS.setflags(write=False)
 
 
 def random_axes(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -80,16 +84,7 @@ class DensityMatrix:
 
 def bell_vectors() -> np.ndarray:
     """4x4 array whose rows are psi0..psi3 in the computational basis |00,01,10,11>."""
-    s = 1.0 / math.sqrt(2.0)
-    return np.array(
-        [
-            [0.0, s, -s, 0.0],
-            [0.0, s, s, 0.0],
-            [s, 0.0, 0.0, s],
-            [s, 0.0, 0.0, -s],
-        ],
-        dtype=complex,
-    )
+    return BELL_BASIS.T.copy()
 
 
 def fidelity(m: DensityMatrix) -> float:
@@ -125,15 +120,15 @@ def spin_frames(axes) -> np.ndarray:
 def rotate_pairs(x: np.ndarray, axes: np.ndarray) -> np.ndarray:
     """Rotate the leading pairs of ``x`` into their axes.
 
-    ``x`` is (4^m, cols), its row index running over m pairs, the first most
-    significant; ``axes`` is (m, 3), row i being the axis of pair i.  Pair i
-    is rotated by V(n) (x) V(n) (see :func:`spin_frames`), so rotated index
-    2a + b holds outcome a for Alice and b for Bob, and the pair came out
-    parallel exactly when that index is 00 or 11.  Returns the (4^m, cols)
-    rotated amplitudes.
+    ``x`` is (4^m, cols), its row index running over the Bell labels of m
+    pairs, the first most significant; ``axes`` is (m, 3), row i being the
+    axis of pair i.  Pair i is taken by (V(n) (x) V(n)) :data:`BELL_BASIS`
+    (see :func:`spin_frames`), so rotated index 2a + b holds outcome a for
+    Alice and b for Bob, and the pair came out parallel exactly when that
+    index is 00 or 11.  Returns the (4^m, cols) rotated amplitudes.
     """
     v = spin_frames(axes)
-    w = np.einsum("iac,ibd->iabcd", v, v).reshape(-1, 4, 4)
+    w = np.einsum("iac,ibd->iabcd", v, v).reshape(-1, 4, 4) @ BELL_BASIS
     out = x
     for i, wi in enumerate(w):
         out = wi @ out.reshape(4**i, 4, -1)
@@ -145,7 +140,7 @@ def measure_pair(
 ) -> tuple[int, int, np.ndarray]:
     """Measure both qubits of the leading pair of ``amps`` along ``axis``.
 
-    ``amps`` is a raw amplitude array whose first two qubits form the pair.
+    ``amps`` is a raw amplitude array, the pair's Bell label most significant.
     The joint outcome is drawn once from the Born weights of the four
     rotated rows (see :func:`rotate_pairs`).  Returns (outcome_a, outcome_b,
     the normalized amplitudes of everything after the pair).

@@ -1,10 +1,10 @@
 """The projector oracle: spin measurements as projectors on the full state.
 
 These are the textbook forms the package's rotation kernel
-(:func:`qkdlab.qstate.rotate_pairs`) is checked against: build the
-projectors onto the spin eigenstates along an axis, apply them to the
-addressed qubits of the whole amplitude vector, and read Born weights off
-the norms of the projected branches.
+(:func:`qkdlab.qstate.rotate_pairs`) is checked against: write the state
+over qubits, build the projectors onto the spin eigenstates along an axis,
+apply them to the addressed qubits of the whole amplitude vector, and read
+Born weights off the norms of the projected branches.
 """
 
 import math
@@ -49,6 +49,27 @@ def apply_operator(
     arr = np.tensordot(op_t, arr, axes=(list(range(t, 2 * t)), list(targets)))
     arr = np.moveaxis(arr, range(t), targets)
     return arr.reshape(-1)
+
+
+def bell_to_computational(amps: np.ndarray, n_pairs: int) -> np.ndarray:
+    """The flat computational-basis vector of a state whose first ``n_pairs``
+    axes are Bell labels, singlet first, and whose rest is one ancilla block.
+
+    Bell label k of a pair is its qubits in the state psi_k below, written
+    over |00>, |01>, |10>, |11> (Alice's qubit first).
+    """
+    s = 1.0 / math.sqrt(2.0)
+    psi = np.array([
+        [0.0, s, -s, 0.0],  # psi0 = (|01> - |10>)/sqrt2, the singlet
+        [0.0, s, s, 0.0],  # psi1 = (|01> + |10>)/sqrt2
+        [s, 0.0, 0.0, s],  # psi2 = (|00> + |11>)/sqrt2
+        [s, 0.0, 0.0, -s],  # psi3 = (|00> - |11>)/sqrt2
+    ], dtype=complex)
+    flat = np.reshape(amps, -1)
+    dims = (4,) * n_pairs + (flat.size // 4**n_pairs,)
+    for pair in range(n_pairs):
+        flat = apply_operator(flat, dims, psi.T, (pair,))
+    return flat
 
 
 def pair_branches(

@@ -52,7 +52,7 @@ from reference import spin_projectors
 def bell_product(labels, ancilla_dim=1):
     t = np.zeros((4,) * len(labels) + (ancilla_dim,), dtype=complex)
     t[tuple(labels) + (0,)] = 1.0
-    return CoherentAttack.from_bell_amplitudes(t)
+    return CoherentAttack(t)
 
 
 def test_c01_antiparallel_rate_tracks_fidelity():
@@ -167,7 +167,7 @@ def test_c05_perfect_passing_isolates_all_singlet():
             amps = rng.normal(size=(4,) * n + (2,)) + 1j * rng.normal(
                 size=(4,) * n + (2,))
             amps /= np.linalg.norm(amps)
-            attack = CoherentAttack.from_bell_amplitudes(amps)
+            attack = CoherentAttack(amps)
             plan = TestPlan(tuple(range(n)), random_axes(n, rng), 0, 0)
             assert passing_probability(attack, plan) < 1.0 - 1e-9
 
@@ -184,7 +184,7 @@ def test_c05_perfect_passing_isolates_all_singlet():
         spiked = np.zeros((4,) * n + (1,), dtype=complex)
         spiked[(0,) * n + (0,)] = math.sqrt(1 - 1e-6)
         spiked[(3,) + (0,) * (n - 1) + (0,)] = math.sqrt(1e-6)
-        atk = CoherentAttack.from_bell_amplitudes(spiked)
+        atk = CoherentAttack(spiked)
         plan = TestPlan(tuple(range(n)), random_axes(n, rng), 0, 0)
         assert passing_probability(atk, plan) < 1.0 - 1e-9
     assert perfect_cases >= 15

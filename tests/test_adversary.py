@@ -37,10 +37,11 @@ from qkdlab.qstate import (
     random_axes,
     random_rotation,
     random_unitary,
+    rotate_pairs,
     von_neumann_entropy,
 )
 from qkdlab.rng import stream
-from reference import apply_operator, spin_projectors
+from reference import apply_operator, bell_to_computational, spin_projectors
 
 Z, X = AXIS_Z, AXIS_X
 
@@ -51,7 +52,7 @@ def bell_product_attack(labels, ancilla_dim=1, marker=0):
     shape = (4,) * n + (ancilla_dim,)
     t = np.zeros(shape, dtype=complex)
     t[tuple(labels) + (marker,)] = 1.0
-    return CoherentAttack.from_bell_amplitudes(t)
+    return CoherentAttack(t)
 
 
 class TestSubstitutePairs:
@@ -144,7 +145,7 @@ class TestCoherentAttackConstruction:
         atk = bell_product_attack((0, 0, 0))
         assert atk.n_pairs == 3
         assert atk.ancilla_dim == 1
-        amps = atk.bell_amplitudes()
+        amps = atk.amplitudes
         assert amps[0, 0, 0, 0] == pytest.approx(1.0)
 
     def test_dimension_caps(self):
@@ -179,17 +180,19 @@ class TestCoherentAttackConstruction:
             atk.amplitudes[0, 0, 0] = 0.0
 
     def test_bell_conversion_pinned(self):
+        """The kernel that takes Bell labels to outcomes along the axes, byte for byte."""
         rng = stream(430)
         t = rng.normal(size=(4,) * 4 + (3,)) + 1j * rng.normal(size=(4,) * 4 + (3,))
-        atk = CoherentAttack.from_bell_amplitudes(t / np.linalg.norm(t))
-        assert hashlib.sha256(atk.amplitudes.tobytes()).hexdigest() == (
-            "e7b44d66cde78e0a9f68b15f121306731d032a67c1dde689247277ca9d28cd1e")
+        atk = CoherentAttack(t / np.linalg.norm(t))
+        rotated = rotate_pairs(atk.amplitudes.reshape(4**4, 3), random_axes(4, rng))
+        assert hashlib.sha256(rotated.tobytes()).hexdigest() == (
+            "4e57c1ec729fddab86a0de5129e3d92d77c986a9324e8b91f00cad45fcde79ee")
 
     def test_normalization_required(self):
         t = np.zeros((4, 4, 1), dtype=complex)
         t[0, 0, 0] = 0.5
         with pytest.raises(ValueError):
-            CoherentAttack.from_bell_amplitudes(t)
+            CoherentAttack(t)
 
     def test_text_round_trip(self):
         s = 1 / math.sqrt(2)
@@ -205,6 +208,27 @@ class TestCoherentAttackConstruction:
             assert atk.ancilla_dim == ancilla_dim
             again = CoherentAttack.from_text(atk.to_text())
             assert np.allclose(again.amplitudes, atk.amplitudes, atol=1e-12)
+
+    @settings(max_examples=50)
+    @given(st.integers(1, 6), st.integers(1, 16), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_canonical_file_round_trips_exactly(self, n, anc, sparse, seed):
+        """A file of the nonzero rows in np.ndindex order, floats written by
+        repr, is read into exactly its numbers and written back byte for byte."""
+        rng = stream(seed)
+        shape = (4,) * n + (anc,)
+        t = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        if sparse:
+            t = np.where(rng.random(shape) < 0.2, t, 0.0)
+            t[(3,) * n + (anc - 1,)] = 1.0  # the last row fixes the ancilla dimension
+        t /= np.linalg.norm(t)
+        text = "".join(
+            f"{''.join(map(str, idx[:-1]))} {idx[-1]} {float(t[idx].real)!r} "
+            f"{float(t[idx].imag)!r}\n"
+            for idx in np.ndindex(*shape) if t[idx] != 0.0
+        )
+        atk = CoherentAttack.from_text(text)
+        assert atk.amplitudes.tobytes() == t.tobytes()
+        assert atk.to_text() == text
 
     def test_text_rejects_unnormalized(self):
         with pytest.raises(ConfigError, match="[Uu]nnormalized"):
@@ -262,7 +286,7 @@ class TestPassingProbability:
         rng = stream(411)
         t = np.zeros((4, 4, 4, 4, 1), dtype=complex)
         t[0, 0, 0, 0, 0] = t[1, 1, 1, 1, 0] = 1 / math.sqrt(2)
-        atk = CoherentAttack.from_bell_amplitudes(t)
+        atk = CoherentAttack(t)
         mean, stderr = axis_averaged_passing_probability(
             atk, 4, rng, n_samples=20000, indices=(0, 1, 2, 3)
         )
@@ -343,7 +367,7 @@ def attack_and_plan(draw, max_pairs=4, max_ancilla=4):
     seed = draw(st.integers(0, 2**32 - 1))
     rng = stream(seed)
     t = rng.normal(size=(4,) * n + (anc,)) + 1j * rng.normal(size=(4,) * n + (anc,))
-    atk = CoherentAttack.from_bell_amplitudes(t / np.linalg.norm(t))
+    atk = CoherentAttack(t / np.linalg.norm(t))
     m = draw(st.integers(1, n))
     indices = tuple(int(i) for i in rng.choice(n, size=m, replace=False))
     lo = draw(st.integers(0, m))
@@ -388,7 +412,7 @@ def outcome_classes_reference(attack, indices, axes):
         yield from rec(apply_operator(vec, dims, anti, pair), i + 1, errors)
         yield from rec(apply_operator(vec, dims, np.eye(4) - anti, pair), i + 1, errors + 1)
 
-    yield from rec(attack.amplitudes.reshape(-1), 0, 0)
+    yield from rec(bell_to_computational(attack.amplitudes, attack.n_pairs), 0, 0)
 
 
 def reference_law(attack, indices, axes):
@@ -497,7 +521,7 @@ class TestConditionalAncilla:
         t = np.zeros((4, 4, 2), dtype=complex)
         t[0, 0, 0] = 0.6
         t[0, 0, 1] = 0.8
-        atk = CoherentAttack.from_bell_amplitudes(t)
+        atk = CoherentAttack(t)
         rho = conditional_ancilla_state(atk, TestPlan((0, 1), random_axes(2, rng), 0, 0))
         assert eve_info_bound(rho) == pytest.approx(0.0, abs=1e-9)
 
@@ -505,7 +529,7 @@ class TestConditionalAncilla:
         # equally weighted passing components with orthogonal markers
         t = np.zeros((4, 4, 2), dtype=complex)
         t[0, 0, 0] = t[1, 0, 1] = 1 / math.sqrt(2)
-        atk = CoherentAttack.from_bell_amplitudes(t)
+        atk = CoherentAttack(t)
         plan = TestPlan((0, 1), np.array([Z, Z]), 0, 0)  # psi1 passes a z test
         rho = conditional_ancilla_state(atk, plan)
         assert np.allclose(rho.matrix, np.eye(2) / 2, atol=1e-9)
@@ -515,7 +539,7 @@ class TestConditionalAncilla:
         rng = stream(415)
         t = rng.normal(size=(4, 4, 3)) + 1j * rng.normal(size=(4, 4, 3))
         t /= np.linalg.norm(t)
-        atk = CoherentAttack.from_bell_amplitudes(t)
+        atk = CoherentAttack(t)
         rho = conditional_ancilla_state(atk, TestPlan((0, 1), random_axes(2, rng), 0, 1))
         assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-9)
 
@@ -524,7 +548,7 @@ class TestConditionalAncilla:
         rng = stream(416)
         t = rng.normal(size=(4, 4, 3)) + 1j * rng.normal(size=(4, 4, 3))
         t /= np.linalg.norm(t)
-        atk = CoherentAttack.from_bell_amplitudes(t)
+        atk = CoherentAttack(t)
         vecs = random_axes(2, rng)
         plan = TestPlan((0, 1), vecs, 0, 0)
 
@@ -534,7 +558,7 @@ class TestConditionalAncilla:
             eigvecs.append(
                 (np.linalg.eigh(up)[1][:, -1], np.linalg.eigh(down)[1][:, -1])
             )
-        amps = atk.amplitudes.reshape(2, 2, 2, 2, 3)
+        amps = bell_to_computational(atk.amplitudes, 2).reshape(2, 2, 2, 2, 3)
         accum = np.zeros((3, 3), dtype=complex)
         total = 0.0
         for a0 in (0, 1):
@@ -594,7 +618,7 @@ class TestTypicalitySplit:
     def test_uniform_superposition_count(self):
         # T = ceil(2*4*0.2) = 2: atypical vectors are the 13 with < 2 bad slots
         t = np.full((4, 4, 4, 4, 1), 1 / 16.0, dtype=complex)
-        atk = CoherentAttack.from_bell_amplitudes(t)
+        atk = CoherentAttack(t)
         typical, atypical = typicality_split(atk, 0.2)
         assert atypical == pytest.approx(13 / 256, abs=1e-12)
         assert typical + atypical == pytest.approx(1.0, abs=1e-9)
@@ -603,15 +627,18 @@ class TestTypicalitySplit:
         rng = stream(417)
         t = np.zeros((4, 4, 1), dtype=complex)
         t[1, 0, 0] = t[0, 0, 0] = t[2, 3, 0] = 1 / math.sqrt(3)
-        atk = CoherentAttack.from_bell_amplitudes(t)
+        atk = CoherentAttack(t)
         before = typicality_split(atk, 0.2)
         dims = (2,) * 4 + (1,)
-        amps = atk.amplitudes.reshape(-1)
+        # the conversion to qubits as a matrix: the image of each Bell word
+        conv = np.stack([bell_to_computational(e, 2) for e in np.eye(16)], axis=1)
+        amps = conv @ atk.amplitudes.reshape(-1)
         for pair in range(2):
             r = random_rotation(rng)
             amps = apply_operator(amps, dims, r, (2 * pair,))
             amps = apply_operator(amps, dims, r, (2 * pair + 1,))
-        after = typicality_split(CoherentAttack(amps.reshape(atk.amplitudes.shape)), 0.2)
+        back = (conv.conj().T @ amps).reshape(atk.amplitudes.shape)
+        after = typicality_split(CoherentAttack(back), 0.2)
         assert after[0] == pytest.approx(before[0], abs=1e-9)
         assert after[1] == pytest.approx(before[1], abs=1e-9)
 
@@ -634,7 +661,7 @@ class TestEveInfoDominance:
             for idx in atypical_idx:
                 t[idx] = rng.normal(size=16) + 1j * rng.normal(size=16)
             t /= np.linalg.norm(t)
-            atk = CoherentAttack.from_bell_amplitudes(t)
+            atk = CoherentAttack(t)
             _, aty = typicality_split(atk, eps)
             assert aty == pytest.approx(1.0, abs=1e-9)
             m = int(rng.integers(1, 5))

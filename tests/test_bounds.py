@@ -2,7 +2,7 @@
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -131,6 +131,15 @@ class TestAtypicalCount:
 
 
 class TestDimChain:
+    def test_integers_too_long_to_print_are_none(self):
+        """2^14283 - 1 has 4,300 digits and is kept; 2^14283 may print longer."""
+        rep = atypical_dim_chain(100, 0.01)
+        kept = replace(rep, l2=2**14283 - 1).to_dict()
+        assert kept["l2"] == 2**14283 - 1 and len(str(kept["l2"])) == 4300
+        dropped = replace(rep, exact_count=2**14283, l1=2**14283, l2=2**20000).to_dict()
+        assert (dropped["exact_count"], dropped["l1"], dropped["l2"]) == (None, None, None)
+        assert dropped["chain_holds"] == rep.chain_holds()
+
     def test_l1_matches_brute_force(self):
         rep = atypical_dim_chain(100, 0.01)
         assert rep.threshold == 2

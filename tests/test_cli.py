@@ -76,6 +76,15 @@ class TestExitCodes:
         assert code == 3
         assert "regime" in err.lower()
 
+    def test_bounds_past_the_int_print_limit(self, capsys):
+        """L2 at this point has over 4,300 digits: it is written as null, and the
+        chain is still checked on the exact integers."""
+        code, out, _ = run_cli(["bounds", "--n", "7254", "--epsilon", "0.1"], capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert data["l2"] is None and data["chain_holds"] is True
+        assert data["l1"].bit_length() == 13924
+
     def test_undersampled_session(self, capsys):
         code, _, _ = run_cli(
             ["simulate", "--protocol", "bb84", "--n", "500", "--epsilon", "0.01",
@@ -320,9 +329,9 @@ class TestSimulateOutputs:
         digests = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
                    for name in ("sim.csv", "sim.jsonl", "ae.json")}
         assert digests == {
-            "sim.csv": "12c32d765178e7127ca28f7ef4d9343d483c14d560dedc064def8f5ac85bbff3",
+            "sim.csv": "919ef4db67f6be08ccd6cd72132585d6511d6564740d0565efc79b8540d1b34d",
             "sim.jsonl": "be569d638117c35fdaa0862161536ba8b27c2eea10d4babfebb11eb87c3502aa",
-            "ae.json": "e92275616b8f5fb2d32a1ff41f2b624bd847a08e859f4a1ddba1b71f477b97b3",
+            "ae.json": "2e898091a9d6ff654d2bb443d527c89a4b16a0bd1e2d1f858b8df841fe6bcc91",
         }
 
     def test_bounds_outputs_pinned(self, tmp_path, monkeypatch, capsys):
@@ -379,8 +388,9 @@ class TestSimulateOutputs:
         assert code == 0
         data = json.loads(out)
         assert (data["holevo_bits_sample_plan"], data["holevo_within_upper"]) == (None, None)
+        assert data["passing_mean"] == 0.0 and data["passing_stderr"] == 0.0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "0421ddbb34aba2fed7c8e636a5a8e5a511634ccde0a802eb8594a995572eba50")
+            "fbd8be357817939ee801bd1e5c8fe690bfb39632c2bd382ffe7b9a9c77d8da25")
         # the window [1, 1] needs one error; singlets never err
         assert run_cli(["simulate", "--n", "2", "--m", "2", "--epsilon", "0.5",
                         "--threshold-mode", "window", "--attack", "coherent",

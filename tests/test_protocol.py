@@ -34,7 +34,7 @@ from qkdlab.rng import stream
 def all_singlet_attack(n):
     t = np.zeros((4,) * n + (1,), dtype=complex)
     t[(0,) * n + (0,)] = 1.0
-    return CoherentAttack.from_bell_amplitudes(t)
+    return CoherentAttack(t)
 
 
 class TestAcceptanceWindow:

@@ -142,14 +142,14 @@ class TestSpinProjectors:
 class TestMeasurePair:
     def test_singlet_always_antiparallel(self):
         rng = stream(105)
-        psi0 = bell_vectors()[0]
+        psi0 = np.eye(4)[0]  # a pair is given by its Bell label
         for axis in random_axes(50, rng):
             a, b, _ = measure_pair(psi0, axis, rng)
             assert a != b
 
     def test_triplet_z_antiparallel_x_parallel(self):
         rng = stream(106)
-        psi1 = bell_vectors()[1]
+        psi1 = np.eye(4)[1]
         for _ in range(50):
             a, b, _ = measure_pair(psi1, AXIS_Z, rng)
             assert a != b
@@ -169,7 +169,7 @@ class TestMeasurePair:
             hits = (rng.random(n) < p_anti).sum()
             assert hits / n == pytest.approx(1 / 3, abs=0.01)
         # and the sampled measurement agrees on a smaller run
-        psi = bell_vectors()[1]
+        psi = np.eye(4)[1]
         hits = 0
         trials = 2000
         for axis in random_axes(trials, rng):
@@ -203,7 +203,7 @@ class TestMeasurePair:
 
     def test_post_state_normalized(self):
         rng = stream(108)
-        post = np.kron(bell_vectors()[2], bell_vectors()[0])
+        post = np.kron(np.eye(4)[2], np.eye(4)[0])
         for axis in (AXIS_Z, AXIS_X):
             _, _, post = measure_pair(post, axis, rng)
             assert np.linalg.norm(post) == pytest.approx(1.0, abs=1e-9)
@@ -228,7 +228,9 @@ class TestPairKernel:
     def test_session_matches_projector_oracle(self, case):
         amps, dims, axes, seed = case
         rng, oracle_rng = stream(seed, 1), stream(seed, 1)
-        rest, full = amps, amps
+        # the kernel reads Bell labels, the oracle qubits
+        n = len(axes)
+        rest, full = amps, reference.bell_to_computational(amps, n)
         for t, axis in enumerate(axes):
             rotated = rotate_pairs(rest.reshape(4, -1), axis[None])
             probs = np.einsum("rc,rc->r", rotated.conj(), rotated).real
@@ -238,7 +240,8 @@ class TestPairKernel:
             assert (a, b) == (want_a, want_b)
             assert np.allclose(probs, want_probs, rtol=0.0, atol=1e-12)
             # the oracle's state is (measured pairs) (x) rest, up to a phase
-            measured = full.reshape(4 ** (t + 1), -1) @ rest.conj()
+            rest_qubits = reference.bell_to_computational(rest, n - t - 1)
+            measured = full.reshape(4 ** (t + 1), -1) @ rest_qubits.conj()
             assert np.linalg.norm(measured) == pytest.approx(1.0, abs=1e-9)
         assert rng.random() == oracle_rng.random()
 
