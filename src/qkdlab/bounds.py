@@ -54,14 +54,6 @@ def log2_int(n: int) -> float:
     return math.log2(n >> shift) + shift
 
 
-def binomial_entropy_inequality(n: int, r: int) -> tuple[int, float]:
-    """Return (C(n, r), n * H(r/n)); the first is always <= 2 to the second."""
-    if not 0 <= r <= n:
-        raise ValueError(f"C({n}, {r}) is not defined")
-    if n == 0:
-        return 1, 0.0
-    return math.comb(n, r), n * binary_entropy(r / n)
-
 
 def atypical_threshold(n_pairs: int, eps: float) -> int:
     """T = ceil(2 N eps), with protection against float fuzz at integers."""

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .qstate import DensityMatrix, bell_vectors
 
 EPSILON_MAX = 2.0 / 3.0  # error rate of the F = 0 channel; no Werner state lies beyond
 
@@ -50,16 +49,6 @@ def label_probs(f: float) -> np.ndarray:
     f = _check_fidelity(f)
     return np.array([f] + [(1.0 - f) / 3.0] * 3)
 
-
-def werner_state(f: float) -> DensityMatrix:
-    """Bell-diagonal mixture with singlet weight ``f`` and uniform triplet rest."""
-    rows = bell_vectors()
-    return DensityMatrix((rows.T * label_probs(f)) @ rows.conj())
-
-
-def antiparallel_prob(f: float) -> float:
-    """Probability of antiparallel outcomes along a common axis, (1 + 2F)/3."""
-    return (1.0 + 2.0 * _check_fidelity(f)) / 3.0
 
 
 def epsilon_from_fidelity(f: float) -> float:

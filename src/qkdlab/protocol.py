@@ -16,11 +16,12 @@ its protocol's fixed step order, ``EPR_EVENTS`` or ``BB84_EVENTS``.
 Prepare-and-measure session (``run_bb84_session``): Alice sends photons
 polarized in the rectilinear basis with probability 1 - omega and the
 diagonal basis with probability omega; Bob measures likewise.  Positions
-where the bases agree are the sifted set.  The test set takes every
-diagonal-matched position plus an equal number of randomly chosen
-rectilinear-matched ones, and the session accepts when the observed test
-error rate is below twice the expected rate (or inside the window, when
-so configured).  Skewing omega toward 0 drives the sifted fraction
+where the bases agree are the sifted set.  The test set holds k
+diagonal-matched and k rectilinear-matched positions, k being the smaller
+matched count, drawn at random from the larger class; it ignores
+``test_size``.  The session accepts when the observed test error rate is
+below twice the expected rate (or inside the window, when so
+configured).  Skewing omega toward 0 drives the sifted fraction
 (1-omega)^2 + omega^2 toward 1 instead of 1/2.
 
 Channel noise is simulated classically through Bell labels / Pauli
@@ -48,7 +49,7 @@ from .adversary import (
 )
 from .channel import ChannelModel
 from .errors import ConfigError, UndersamplingError
-from .qstate import AXIS_X, AXIS_Z, bell_vectors, measure_pair, random_axes, spin_frames
+from .qstate import AXIS_X, AXIS_Z, BELL_BASIS, measure_pair, random_axes, spin_frames
 
 EPR_EVENTS = (
     "prepared",
@@ -471,7 +472,7 @@ def epr_bb84_equivalence_check(
     direct = np.where(np.eye(2, dtype=bool)[:, :, None, None], matched[:, :, None], 0.25)
     frames = spin_frames(np.stack([AXIS_Z, AXIS_X]))
     kron = np.einsum("ixa,jyb->ijxyab", frames, frames).reshape(2, 2, 4, 4)
-    amps = kron @ bell_vectors()[:, None, None, :, None]
+    amps = kron @ BELL_BASIS.T[:, None, None, :, None]
     # Alice's bit is her outcome, Bob's bit flips his
     paired = (np.abs(amps) ** 2).reshape(4, 2, 2, 2, 2)[..., ::-1]
 

@@ -77,23 +77,6 @@ class DensityMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def bell_vectors() -> np.ndarray:
-    """4x4 array whose rows are psi0..psi3 in the computational basis |00,01,10,11>."""
-    return BELL_BASIS.T.copy()
-
-
-def fidelity(m: DensityMatrix) -> float:
-    """Singlet fidelity <psi0| m |psi0> of a two-qubit density matrix."""
-    if m.dim != 4:
-        raise ValueError("singlet fidelity is defined for two-qubit matrices")
-    psi0 = bell_vectors()[0]
-    return float(np.real(psi0.conj() @ m.matrix @ psi0))
-
 
 def spin_frames(axes) -> np.ndarray:
     """The measurement frame V(n) of each axis: rows <up_n| and <down_n|.
@@ -171,18 +154,3 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     vals = vals[vals > 0.0]
     ent = float(-(vals * np.log2(vals)).sum())
     return ent if ent > 0.0 else 0.0
-
-
-def random_rotation(rng: np.random.Generator) -> np.ndarray:
-    """A Haar-random SU(2) element (a uniformly random Bloch rotation)."""
-    u = random_unitary(2, rng)
-    det = np.linalg.det(u)
-    return u / np.sqrt(det)
-
-
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Gaussian matrix."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    phase = np.diagonal(r) / np.abs(np.diagonal(r))
-    return q * phase

@@ -22,30 +22,28 @@ from qkdlab.adversary import (
     SubstituteAttack,
     TestPlan,
     axis_averaged_passing_probability,
-    cloning_report,
     conditional_ancilla_state,
     eve_info_bound,
-    passing_probability,
-    random_signal_pair,
-    signal_preserving_unitary,
+    error_count_distribution,
 )
 from qkdlab.bounds import (
     atypical_count_exact,
     atypical_dim_chain,
-    binomial_entropy_inequality,
+    binary_entropy,
     secrecy_lower_bound,
 )
 from qkdlab.channel import (
     ChannelModel,
-    antiparallel_prob,
+    epsilon_from_fidelity,
     sample_common_axis_outcomes,
     sample_pair_labels,
 )
 from qkdlab.cli import main, simulate_trial
 from qkdlab.postprocess import final_key_length
 from qkdlab.protocol import SessionConfig, run_bb84_session, run_epr_session
-from qkdlab.qstate import AXIS_X, AXIS_Z, random_axes, random_unitary
+from qkdlab.qstate import AXIS_X, AXIS_Z, random_axes
 from qkdlab.rng import stream
+from physics import cloning_report, random_signal_pair, random_unitary, signal_preserving_unitary
 from reference import spin_projectors
 
 
@@ -65,7 +63,7 @@ def test_c01_antiparallel_rate_tracks_fidelity():
         axes = random_axes(n, rng)
         oa, ob = sample_common_axis_outcomes(labels, axes, rng)
         observed = float((oa != ob).mean())
-        want = antiparallel_prob(f)
+        want = (1 + 2 * f) / 3
         if f == 1.0:
             assert observed == 1.0
         else:
@@ -169,12 +167,12 @@ def test_c05_perfect_passing_isolates_all_singlet():
             amps /= np.linalg.norm(amps)
             attack = CoherentAttack(amps)
             plan = TestPlan(tuple(range(n)), random_axes(n, rng), 0, 0)
-            assert passing_probability(attack, plan) < 1.0 - 1e-9
+            assert error_count_distribution(attack, plan.indices, plan.axes)[0] < 1.0 - 1e-9
 
         singlets = bell_product((0,) * n)
         for _ in range(5):
             plan = TestPlan(tuple(range(n)), random_axes(n, rng), 0, 0)
-            p = passing_probability(singlets, plan)
+            p = error_count_distribution(singlets, plan.indices, plan.axes)[0]
             assert p == pytest.approx(1.0, abs=1e-12)
             rho = conditional_ancilla_state(singlets, plan)
             assert eve_info_bound(rho) <= 1e-9
@@ -186,7 +184,7 @@ def test_c05_perfect_passing_isolates_all_singlet():
         spiked[(3,) + (0,) * (n - 1) + (0,)] = math.sqrt(1e-6)
         atk = CoherentAttack(spiked)
         plan = TestPlan(tuple(range(n)), random_axes(n, rng), 0, 0)
-        assert passing_probability(atk, plan) < 1.0 - 1e-9
+        assert error_count_distribution(atk, plan.indices, plan.axes)[0] < 1.0 - 1e-9
     assert perfect_cases >= 15
 
 
@@ -223,7 +221,7 @@ def test_c08_binomial_entropy_bound_exhaustive():
     t0 = time.perf_counter()
     for n in range(0, 201):
         for r in range(0, n + 1):
-            comb, exponent = binomial_entropy_inequality(n, r)
+            comb, exponent = (math.comb(n, r), n * binary_entropy(r / n)) if n else (1, 0.0)
             assert math.log2(comb) <= exponent + 1e-9, (n, r)
     assert time.perf_counter() - t0 < 5.0
 
@@ -235,7 +233,7 @@ def test_c09_secrecy_rate_approaches_unity():
     s4 = secrecy_lower_bound(1e-4)
     assert 0.0 < s2 < s3 < s4 < 1.0
     assert 1.0 - s4 < 15 * 10.0 * 1e-4
-    assert antiparallel_prob(0.25) == 0.5
+    assert 1.0 - epsilon_from_fidelity(0.25) == 0.5
 
 
 def test_c10_information_disturbance_tradeoff():

@@ -15,14 +15,10 @@ from qkdlab.adversary import (
     SubstituteAttack,
     TestPlan,
     axis_averaged_passing_probability,
-    cloning_report,
     conditional_ancilla_state,
     error_count_distribution,
     eve_info_bound,
     holevo_on_pass,
-    passing_probability,
-    random_signal_pair,
-    signal_preserving_unitary,
     substitute_pairs,
     typicality_split,
 )
@@ -33,14 +29,19 @@ from qkdlab.protocol import SessionConfig, run_bb84_session
 from qkdlab.qstate import (
     AXIS_X,
     AXIS_Z,
-    bell_vectors,
     random_axes,
-    random_rotation,
-    random_unitary,
     rotate_pairs,
     von_neumann_entropy,
 )
 from qkdlab.rng import stream
+from physics import (
+    attack_to_text,
+    cloning_report,
+    random_rotation,
+    random_signal_pair,
+    random_unitary,
+    signal_preserving_unitary,
+)
 from reference import apply_operator, bell_to_computational, spin_projectors
 
 Z, X = AXIS_Z, AXIS_X
@@ -206,7 +207,7 @@ class TestCoherentAttackConstruction:
             atk = CoherentAttack.from_text("\n".join(rows))
             assert atk.n_pairs == n_pairs
             assert atk.ancilla_dim == ancilla_dim
-            again = CoherentAttack.from_text(atk.to_text())
+            again = CoherentAttack.from_text(attack_to_text(atk))
             assert np.allclose(again.amplitudes, atk.amplitudes, atol=1e-12)
 
     @settings(max_examples=50)
@@ -228,7 +229,7 @@ class TestCoherentAttackConstruction:
         )
         atk = CoherentAttack.from_text(text)
         assert atk.amplitudes.tobytes() == t.tobytes()
-        assert atk.to_text() == text
+        assert attack_to_text(atk) == text
 
     def test_text_rejects_unnormalized(self):
         with pytest.raises(ConfigError, match="[Uu]nnormalized"):
@@ -255,7 +256,9 @@ class TestPassingProbability:
         for m in (1, 2, 4):
             idx = tuple(rng.choice(4, size=m, replace=False))
             plan = TestPlan(idx, random_axes(m, rng), 0, 0)
-            assert passing_probability(atk, plan) == pytest.approx(1.0, abs=1e-12)
+            assert error_count_distribution(atk, plan.indices, plan.axes)[0] == pytest.approx(
+                1.0, abs=1e-12
+            )
 
     def test_fixed_axis_component_weights(self):
         # |psi3 psi0>: error on pair 0 has weight 1 - nx^2 at axis n
@@ -264,10 +267,10 @@ class TestPassingProbability:
         for vec in random_axes(20, rng):
             plan0 = TestPlan((0, 1), np.array([vec, Z]), 0, 0)
             plan1 = TestPlan((0, 1), np.array([vec, Z]), 1, 1)
-            assert passing_probability(atk, plan0) == pytest.approx(
+            assert error_count_distribution(atk, plan0.indices, plan0.axes)[0] == pytest.approx(
                 vec[0] ** 2, abs=1e-9
             )
-            assert passing_probability(atk, plan1) == pytest.approx(
+            assert error_count_distribution(atk, plan1.indices, plan1.axes)[1] == pytest.approx(
                 1 - vec[0] ** 2, abs=1e-9
             )
 
@@ -301,8 +304,8 @@ class TestPassingProbability:
         a2 = bell_product_attack((0, 3, 0, 1))
         for vec in random_axes(10, rng):
             plan = TestPlan((0, 1, 2, 3), np.tile(vec, (4, 1)), 0, 0)
-            assert passing_probability(a1, plan) == pytest.approx(
-                passing_probability(a2, plan), abs=1e-12
+            assert error_count_distribution(a1, plan.indices, plan.axes)[0] == pytest.approx(
+                error_count_distribution(a2, plan.indices, plan.axes)[0], abs=1e-12
             )
 
     def test_monotone_in_tested_nonsinglets(self):
@@ -384,8 +387,7 @@ class TestErrorCountDistribution:
         assert probs.shape == (len(plan.indices) + 1,)
         assert np.all(probs >= -1e-15)
         assert abs(probs.sum() - 1.0) <= 1e-12
-        p_pass = passing_probability(atk, plan)
-        assert p_pass == probs[plan.accept_lo : plan.accept_hi + 1].sum()
+        p_pass = probs[plan.accept_lo : plan.accept_hi + 1].sum()
         if p_pass > 1e-12:
             rho = conditional_ancilla_state(atk, plan)
             assert abs(np.trace(rho.matrix).real - 1.0) <= 1e-9
@@ -582,7 +584,9 @@ class TestConditionalAncilla:
                         total += float(np.vdot(anc, anc).real)
         oracle = accum / total
         rho = conditional_ancilla_state(atk, plan)
-        assert passing_probability(atk, plan) == pytest.approx(total, abs=1e-9)
+        assert error_count_distribution(atk, plan.indices, plan.axes)[0] == pytest.approx(
+            total, abs=1e-9
+        )
         assert np.allclose(rho.matrix, oracle, atol=1e-9)
 
     def test_zero_passing_probability_rejected(self):

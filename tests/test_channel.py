@@ -5,23 +5,22 @@ import pytest
 
 from qkdlab.channel import (
     ChannelModel,
-    antiparallel_prob,
     antiparallel_prob_given_label,
     epsilon_from_fidelity,
     fidelity_from_epsilon,
     label_probs,
     sample_common_axis_outcomes,
     sample_pair_labels,
-    werner_state,
 )
 from qkdlab.errors import ConfigError
-from qkdlab.qstate import bell_vectors, fidelity, random_axes, random_rotation
+from qkdlab.qstate import BELL_BASIS, random_axes
 from qkdlab.rng import stream
+from physics import fidelity, random_rotation, werner_state
 
 
 class TestWernerState:
     def test_pure_singlet_at_one(self):
-        vecs = bell_vectors()
+        vecs = BELL_BASIS.T
         assert np.allclose(werner_state(1.0).matrix, np.outer(vecs[0], vecs[0].conj()))
 
     def test_quarter_is_maximally_mixed(self):
@@ -44,7 +43,7 @@ class TestWernerState:
             werner_state(1.2)
 
     def test_bell_diagonal_is_the_label_law(self):
-        vecs = bell_vectors()
+        vecs = BELL_BASIS.T
         for f in (0.0, 0.3, 0.97, 1.0):
             diag = np.einsum("ki,ij,kj->k", vecs.conj(), werner_state(f).matrix, vecs)
             assert np.allclose(diag, label_probs(f), atol=1e-12)
@@ -53,9 +52,9 @@ class TestWernerState:
 
 class TestFidelityDictionary:
     def test_antiparallel_examples(self):
-        assert antiparallel_prob(1.0) == pytest.approx(1.0)
-        assert antiparallel_prob(0.25) == pytest.approx(0.5)
-        assert antiparallel_prob(0.97) == pytest.approx(0.98)
+        assert 1 - epsilon_from_fidelity(1.0) == pytest.approx(1.0)
+        assert 1 - epsilon_from_fidelity(0.25) == pytest.approx(0.5)
+        assert 1 - epsilon_from_fidelity(0.97) == pytest.approx(0.98)
 
     def test_epsilon_examples(self):
         assert epsilon_from_fidelity(1.0) == pytest.approx(0.0)
@@ -77,7 +76,7 @@ class TestFidelityDictionary:
         chan = ChannelModel.from_epsilon(0.02)
         assert chan.fidelity == pytest.approx(0.97)
         assert chan.epsilon == pytest.approx(0.02)
-        assert antiparallel_prob(chan.fidelity) == pytest.approx(0.98)
+        assert 1 - epsilon_from_fidelity(chan.fidelity) == pytest.approx(0.98)
 
 
 class TestLabelSampling:
@@ -112,7 +111,7 @@ class TestPerAxisStatistics:
         from reference import spin_projectors
 
         rng = stream(206)
-        vecs = bell_vectors()
+        vecs = BELL_BASIS.T
         for vec in random_axes(50, rng):
             up, down = spin_projectors(vec)
             e_anti = np.kron(up, down) + np.kron(down, up)
@@ -132,5 +131,5 @@ class TestPerAxisStatistics:
             axes = random_axes(n, rng)
             a, b = sample_common_axis_outcomes(labels, axes, rng)
             anti = (a != b).mean()
-            want = antiparallel_prob(f)
+            want = (1 + 2 * f) / 3
             assert abs(anti - want) < 3 * np.sqrt(want * (1 - want) / n)

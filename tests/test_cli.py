@@ -1,5 +1,8 @@
 """Command-line interface tests: exit codes, file formats, determinism."""
 
+import ast
+import collections
+import contextlib
 import csv
 import hashlib
 import importlib
@@ -7,16 +10,20 @@ import importlib.util
 import inspect
 import io
 import json
+import math
 import os
 import re
 import shlex
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qkdlab
 from qkdlab import cli
@@ -207,6 +214,110 @@ class TestConfigMistakes:
         scen.write_text(json.dumps({"n": 200, "m": 20, "epsilon": 0, "kprime": 5,
                                     "threshold_mode": "window", "fidelity": None}))
         assert run_cli(["simulate", "--scenario", str(scen)], capsys)[0] == 0
+
+
+# The exit-code property's grammar: small valid base commands (N <= 2,000,
+# coherent N = 4), and for each flag the values a mutation may give it.
+# Upper-case values name files each example writes in its own directory.
+PROPERTY_BASES = (
+    ("simulate", "--n", "200", "--m", "20", "--epsilon", "0.02", "--seed", "3"),
+    ("simulate", "--protocol", "bb84", "--n", "400", "--epsilon", "0.02", "--omega", "0.3"),
+    ("simulate", "--n", "4", "--m", "2", "--epsilon", "0.2", "--attack", "coherent",
+     "--attack-file", "ATTACK", "--trials", "2"),
+    ("simulate", "--scenario", "SCENARIO"),
+    ("attack-eval", "--attack-file", "ATTACK", "--m", "2", "--axis-samples", "20"),
+    ("bounds", "--n", "100", "--epsilon", "0.02"),
+    ("bounds", "--grid-n", "50,100", "--grid-eps", "0.02,0.3", "--out", "g.csv"),
+    ("equivalence", "--n", "1000"),
+)
+_EDGES = ("0", "-1", "nan", "inf", "-inf", "1e308", "1e-320")
+_JUNK = ("", "x", ",", "1,")
+_PATHS = ("missing/f", ".", "f.out", "")
+PROPERTY_FLAGS = {
+    "--n": (*_EDGES, *_JUNK, "1", "2000"),
+    "--m": (*_EDGES, *_JUNK, "1", "2", "2000"),
+    "--trials": (*_EDGES, *_JUNK, "2"),
+    "--seed": (*_EDGES, *_JUNK, "2000"),
+    "--epsilon": (*_EDGES, *_JUNK, "0.02", "0.25", "0.7"),
+    "--fidelity": (*_EDGES, *_JUNK, "0.9", "1.5"),
+    "--omega": (*_EDGES, *_JUNK, "0.1", "2"),
+    "--c": (*_EDGES, *_JUNK, "0.5"),
+    "--kprime": (*_EDGES, *_JUNK, "0.5"),
+    "--theta": (*_EDGES, *_JUNK, "0.5"),
+    "--axis-samples": (*_EDGES, *_JUNK, "1", "2000"),
+    "--accept-lo": (*_EDGES, *_JUNK, "1", "4"),
+    "--accept-hi": (*_EDGES, *_JUNK, "1", "4"),
+    "--grid-n": (*_EDGES, *_JUNK, "50,2000", "-5,50"),
+    "--grid-eps": (*_EDGES, *_JUNK, "0.02,0.3", "0.01,nan"),
+    "--protocol": ("epr", "bb84", "x"),
+    "--attack": ("none", "coherent", "intercept_resend", "intercept_resend:diagonal",
+                 "intercept_resend:x", "substitute:", "substitute:0.1", "substitute:nan",
+                 "substitute:2", "x"),
+    "--threshold-mode": ("window", "two_epsilon", "x"),
+    "--attack-file": ("ATTACK", "BAD_ATTACK", "missing/a.txt", ".", ""),
+    "--scenario": ("SCENARIO", "NOT_JSON", "missing/s.json", ".", ""),
+    "--out": _PATHS,
+    "--summary": _PATHS,
+    "--transcript": _PATHS,
+}
+# scenario fields, real and not, and JSON values of every type
+SCENARIO_FIELDS = ("n", "m", "epsilon", "fidelity", "omega", "attack", "attack_file",
+                   "trials", "seed", "c", "threshold_mode", "kprime", "protocol", "out",
+                   "summary", "transcript", "name", "scenario", "help", "bogus")
+SCENARIO_VALUES = (None, True, "x", "", [], {}, 0, -1, 3, 0.5, 1e308, math.nan,
+                   "ATTACK", "missing/f")
+
+
+@st.composite
+def cli_cases(draw):
+    """A base command and one to three mutations: set a flag, drop a flag or set
+    a scenario field (which also passes ``--scenario SCENARIO``)."""
+    flag = st.sampled_from(sorted(PROPERTY_FLAGS))
+    mutation = st.one_of(
+        flag.flatmap(lambda f: st.tuples(st.just(f), st.sampled_from(PROPERTY_FLAGS[f]))),
+        flag.map(lambda f: (f, None)),
+        st.tuples(st.sampled_from(SCENARIO_FIELDS), st.sampled_from(SCENARIO_VALUES)),
+    )
+    return draw(st.sampled_from(PROPERTY_BASES)), draw(st.lists(mutation, min_size=1, max_size=3))
+
+
+class TestExitCodeProperty:
+    """Whatever the flags, ``main`` exits 0, 2 or 3, and a 2 says why."""
+
+    @settings(max_examples=150)
+    @given(cli_cases())
+    def test_exits_0_2_or_3(self, case):
+        base, mutations = case
+        argv = list(base)
+        scenario = {"n": 200, "m": 20, "epsilon": 0.02, "seed": 1}
+        for key, value in mutations:
+            if not key.startswith("--"):
+                scenario[key] = value
+                key, value = "--scenario", "SCENARIO"
+            if key in argv:
+                i = argv.index(key)
+                del argv[i:i + 2]
+            if value is not None:
+                argv += [key, value]
+        files = {"ATTACK": "0000 0 1.0 0.0\n", "BAD_ATTACK": "0 0 nan 0\n", "NOT_JSON": "{",
+                 "SCENARIO": json.dumps(scenario)}
+        out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)  # file names in the grammar resolve here; "." is a directory
+            try:
+                for name, text in files.items():
+                    Path(name).write_text(text)
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    try:
+                        code = main(argv)
+                    except SystemExit as exc:  # argparse rejects a flag
+                        code = exc.code
+            finally:
+                os.chdir(cwd)
+        err = err.getvalue()
+        assert code in (0, 2, 3), (argv, err)
+        if code == 2:
+            assert "config error: " in err or re.search(r"^qkdlab.*: error: ", err, re.M), argv
 
 
 def src_env():
@@ -732,3 +843,60 @@ class TestBenchmarkBindings:
         from qkdlab.postprocess import distill_key
 
         assert qkdlab.cli.distill_key is distill_key
+
+
+# Public names only tests read, each with the reason it stays in src/.
+TEST_ONLY_NAMES = {
+    "adversary.typicality_split": "kept for the planned check that passing confines "
+                                  "an attack to the atypical subspace",
+    "adversary.error_count_distribution": "the exact per-plan error-count law that c05 "
+                                          "and the rotation tests read",
+}
+
+
+def _names_used(node, docstrings):
+    """Every identifier ``node`` names: in code, imports and string constants
+    (the benchmark names what it traces in strings), but not in docstrings."""
+    used = collections.Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            used[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            used[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            used[n.name.rsplit(".", 1)[-1]] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and id(n) not in docstrings:
+            used.update(re.findall(r"\w+", n.value))
+    return used
+
+
+class TestEveryNameIsUsed:
+    def test_public_definitions_have_a_caller(self):
+        """Each public function, class and method in src/qkdlab is named in
+        src/ or perfbench/*.py outside its own definition."""
+        files = sorted((ROOT / "src" / "qkdlab").glob("*.py")) + sorted(
+            (ROOT / "perfbench").glob("*.py"))
+        trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in files}
+        docstrings = {id(n.body[0].value) for tree in trees.values() for n in ast.walk(tree)
+                      if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                      and n.body and isinstance(n.body[0], ast.Expr)
+                      and isinstance(n.body[0].value, ast.Constant)}
+        used = sum((_names_used(tree, docstrings) for tree in trees.values()),
+                   collections.Counter())
+        unused = set()
+        for path, tree in trees.items():
+            if path.parent.name != "qkdlab":
+                continue
+            for node in tree.body:
+                if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    continue
+                defs = [(node.name, node)]
+                if isinstance(node, ast.ClassDef):
+                    defs += [(f"{node.name}.{m.name}", m) for m in node.body
+                             if isinstance(m, ast.FunctionDef)]
+                for qualname, d in defs:
+                    name = d.name
+                    if not name.startswith("_") and (
+                            used[name] - _names_used(d, docstrings)[name] <= 0):
+                        unused.add(f"{path.stem}.{qualname}")
+        assert unused == set(TEST_ONLY_NAMES)

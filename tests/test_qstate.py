@@ -9,30 +9,28 @@ import reference
 from qkdlab.qstate import (
     AXIS_X,
     AXIS_Z,
+    BELL_BASIS,
     DensityMatrix,
-    bell_vectors,
-    fidelity,
     measure_pair,
     random_axes,
-    random_rotation,
-    random_unitary,
     rotate_pairs,
     spin_frames,
     von_neumann_entropy,
 )
 from qkdlab.rng import stream
+from physics import fidelity, random_rotation, random_unitary
 from reference import apply_operator, spin_projectors
 
 
 class TestBellBasis:
     def test_orthonormal(self):
-        vecs = bell_vectors()
+        vecs = BELL_BASIS.T
         gram = vecs.conj() @ vecs.T
         assert np.allclose(gram, np.eye(4), atol=1e-12)
 
     def test_computational_amplitudes(self):
         s = 1 / np.sqrt(2)
-        vecs = bell_vectors()
+        vecs = BELL_BASIS.T
         assert np.allclose(vecs[0], [0, s, -s, 0])
         assert np.allclose(vecs[1], [0, s, s, 0])
         assert np.allclose(vecs[2], [s, 0, 0, s])
@@ -41,7 +39,7 @@ class TestBellBasis:
     def test_singlet_rotation_invariant(self):
         """The first basis state is fixed (up to phase) by any R (x) R."""
         rng = stream(101)
-        psi0 = bell_vectors()[0]
+        psi0 = BELL_BASIS.T[0]
         for _ in range(100):
             r = random_rotation(rng)
             rotated = np.kron(r, r) @ psi0
@@ -50,7 +48,7 @@ class TestBellBasis:
 
 class TestFidelity:
     def test_pure_singlet(self):
-        psi0 = bell_vectors()[0]
+        psi0 = BELL_BASIS.T[0]
         assert fidelity(DensityMatrix(np.outer(psi0, psi0.conj()))) == pytest.approx(1.0)
 
     def test_maximally_mixed(self):
@@ -59,7 +57,7 @@ class TestFidelity:
 
     def test_rotation_invariant(self):
         rng = stream(102)
-        vecs = bell_vectors()
+        vecs = BELL_BASIS.T
         rho = 0.6 * np.outer(vecs[0], vecs[0].conj()) + 0.4 * np.outer(
             vecs[2], vecs[2].conj()
         )
@@ -161,7 +159,7 @@ class TestMeasurePair:
         rng = stream(107)
         n = 10 ** 5
         for which in (1, 2, 3):
-            psi = bell_vectors()[which]
+            psi = BELL_BASIS.T[which]
             axes = random_axes(n, rng)
             # closed form per axis: nz^2, ny^2, nx^2 for psi1, psi2, psi3
             comp = {1: 2, 2: 1, 3: 0}[which]
@@ -183,7 +181,7 @@ class TestMeasurePair:
     @pytest.mark.parametrize("label", range(4))
     def test_measurement_order_does_not_matter(self, label, axis_a, axis_b):
         """Alice first or Bob first: the same joint distribution p[a, b]."""
-        vec = bell_vectors()[label]
+        vec = BELL_BASIS.T[label]
         proj_a, proj_b = spin_projectors(axis_a), spin_projectors(axis_b)
         alice_first = np.empty((2, 2))
         bob_first = np.empty((2, 2))
@@ -260,7 +258,7 @@ class TestPairKernel:
 
 class TestEntropy:
     def test_pure_state_zero(self):
-        psi3 = bell_vectors()[3]
+        psi3 = BELL_BASIS.T[3]
         rho = DensityMatrix(np.outer(psi3, psi3.conj()))
         assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-12)
 
@@ -269,7 +267,7 @@ class TestEntropy:
 
     def test_half_of_singlet_is_one_bit(self):
         # rows of the reshaped singlet run over Alice, columns over Bob
-        vec = bell_vectors()[0].reshape(2, 2)
+        vec = BELL_BASIS.T[0].reshape(2, 2)
         rho = DensityMatrix(vec.T @ vec.conj())
         assert np.allclose(rho.matrix, np.eye(2) / 2, atol=1e-12)
         assert von_neumann_entropy(rho) == pytest.approx(1.0, abs=1e-9)
@@ -295,7 +293,7 @@ class TestRotationCovariance:
 
     def _count_projector_weights(self, amps, n_pairs):
         """Weight of the state on each non-singlet-count subspace."""
-        vecs = bell_vectors()
+        vecs = BELL_BASIS.T
         # transform each pair axis to the Bell basis
         out = amps.reshape((4,) * n_pairs)
         for ax in range(n_pairs):
@@ -307,7 +305,7 @@ class TestRotationCovariance:
 
     def test_counts_preserved_under_pair_rotations(self):
         rng = stream(111)
-        vecs = bell_vectors()
+        vecs = BELL_BASIS.T
         # |psi1 psi0 psi3> has exactly two non-singlet slots
         amps = np.kron(np.kron(vecs[1], vecs[0]), vecs[3])
         before = self._count_projector_weights(amps, 3)
