@@ -19,7 +19,10 @@ state is exact, not just an average:
 which follows from the Bell states' diagonal spin correlation tensors.
 Sampling a label and then outcomes from these conditionals reproduces the
 full quantum measurement statistics, which is what lets sessions with
-10**5 pairs run as vectorized classical sampling.
+10**5 pairs run as vectorized classical sampling.  A singlet's outcomes
+read no axis, so a session passes only its non-singlet pairs to
+:func:`sample_common_axis_outcomes` and draws the singlets' axes only
+for a written transcript.
 """
 
 from __future__ import annotations

@@ -28,13 +28,18 @@ Channel noise is simulated classically through Bell labels / Pauli
 errors, which reproduces the exact quantum statistics for these
 measurement patterns (see :mod:`qkdlab.channel`).  A coherent attack is
 measured exactly instead, one pair at a time with
-:func:`qkdlab.qstate.measure_pair`.
+:func:`qkdlab.qstate.measure_pair`.  A singlet comes out antiparallel
+along every axis, so without a coherent attack only the non-singlet
+pairs' axes are drawn with the session; the singlets' axes are drawn,
+from a stream of their own, only when the transcript's ``axes`` are read,
+as :meth:`Transcript.write_jsonl` does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -50,6 +55,10 @@ from .adversary import (
 from .channel import ChannelModel
 from .errors import ConfigError, UndersamplingError
 from .qstate import AXIS_X, AXIS_Z, BELL_BASIS, measure_pair, random_axes, spin_frames
+from .rng import stream
+
+if TYPE_CHECKING:
+    from collections.abc import Callable
 
 EPR_EVENTS = (
     "prepared",
@@ -159,6 +168,8 @@ class Transcript:
     protocol ``axes`` holds the common axis of each pair and the basis
     arrays are None; for the prepare-and-measure protocol the basis
     arrays hold 0 (rectilinear) / 1 (diagonal) and ``axes`` is None.
+    :func:`run_epr_session` may defer its singlets' axes; the first read
+    of ``axes`` draws them.
     """
 
     protocol: str
@@ -172,11 +183,19 @@ class Transcript:
     sifted_key_a: np.ndarray
     sifted_key_b: np.ndarray
     events: tuple[str, ...]
-    axes: np.ndarray | None = None
     basis_a: np.ndarray | None = None
     basis_b: np.ndarray | None = None
     eve_holevo_bits: float | None = None
     eve_bits: np.ndarray | None = field(default=None, repr=False)
+    _axes: np.ndarray | None = field(default=None, init=False, repr=False)
+    _draw_axes: Callable[[], np.ndarray] | None = field(default=None, init=False, repr=False)
+
+    @property
+    def axes(self) -> np.ndarray | None:
+        """The common axis of each pair (None for bb84)."""
+        if self._draw_axes is not None:
+            self._axes, self._draw_axes = self._draw_axes(), None
+        return self._axes
 
     @property
     def n(self) -> int:
@@ -200,12 +219,13 @@ class Transcript:
         Lines are formatted from column slices of ``TRANSCRIPT_BLOCK``
         positions at a time, so a long session is never formatted whole.
         """
+        axes = self.axes
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for lo in range(0, self.n, TRANSCRIPT_BLOCK):
                 block = slice(lo, lo + TRANSCRIPT_BLOCK)
-                if self.axes is not None:
+                if axes is not None:
                     basis_a = basis_b = [
-                        f"[{x!r}, {y!r}, {z!r}]" for x, y, z in self.axes[block].tolist()
+                        f"[{x!r}, {y!r}, {z!r}]" for x, y, z in axes[block].tolist()
                     ]
                 else:
                     basis_a = [_JSON_BASIS[x] for x in self.basis_a[block].tolist()]
@@ -254,31 +274,51 @@ def run_epr_session(
     :func:`qkdlab.qstate.measure_pair` on the amplitudes the earlier pairs
     left behind, which rotates the pair into its axis and draws the joint
     outcome once; the dense state limits this to small N.
+
+    Otherwise only the non-singlet pairs draw an axis from ``rng`` and
+    their outcomes from it; a singlet's outcomes, antiparallel along any
+    axis, read none.  The singlets' axes are drawn only when the
+    transcript's ``axes`` are first read, as ``write_jsonl`` does, from
+    ``stream(a)``, ``a`` a 63-bit integer the session draws from ``rng``;
+    no other draw reads that stream.
     """
     _check_attack("epr", attack)
     n, m = config.n_pairs, config.test_size
 
     coherent = isinstance(attack, CoherentAttack)
+    axes = draw_axes = None
     if coherent:
         if attack.n_pairs != n:
             raise ConfigError(
                 f"coherent attack holds {attack.n_pairs} pairs but the session needs {n}"
             )
-    else:
-        labels = channel.sample_labels(n, rng)
-        if isinstance(attack, SubstituteAttack):
-            labels, _ = substitute_pairs(labels, attack.fraction, attack.label_weights, rng)
-
-    axes = random_axes(n, rng)
-
-    if coherent:
+        axes = random_axes(n, rng)
         outcome_a = np.empty(n, dtype=np.uint8)
         outcome_b = np.empty(n, dtype=np.uint8)
         rest = attack.amplitudes
         for t in range(n):
             outcome_a[t], outcome_b[t], rest = measure_pair(rest, axes[t], rng)
     else:
-        outcome_a, outcome_b = channel_mod.sample_common_axis_outcomes(labels, axes, rng)
+        labels = channel.sample_labels(n, rng)
+        if isinstance(attack, SubstituteAttack):
+            labels, _ = substitute_pairs(labels, attack.fraction, attack.label_weights, rng)
+        singlet = labels == 0
+        noisy = np.flatnonzero(~singlet)
+        noisy_axes = random_axes(noisy.size, rng)
+        outcome_a = np.empty(n, dtype=np.uint8)
+        outcome_b = np.empty(n, dtype=np.uint8)
+        outcome_a[noisy], outcome_b[noisy] = channel_mod.sample_common_axis_outcomes(
+            labels[noisy], noisy_axes, rng)
+        # a singlet's outcome is uniform and antiparallel along every axis
+        bits = rng.integers(0, 2, size=n - noisy.size, dtype=np.uint8)
+        outcome_a[singlet], outcome_b[singlet] = bits, bits ^ 1
+        axes_seed = int(rng.integers(0, 2**63))
+
+        def draw_axes() -> np.ndarray:
+            drawn = np.empty((n, 3))
+            drawn[singlet] = random_axes(n - noisy.size, stream(axes_seed))
+            drawn[noisy] = noisy_axes
+            return drawn
 
     test_idx = select_test_set(n, m, rng)
     in_test = np.zeros(n, dtype=bool)
@@ -294,7 +334,7 @@ def run_epr_session(
         plan = TestPlan(tuple(int(i) for i in test_idx), axes[test_idx], lo, hi)
         eve_holevo = holevo_on_pass(attack, plan)
 
-    return Transcript(
+    transcript = Transcript(
         protocol="epr",
         verdict=verdict,
         observed_error_count=errors,
@@ -306,9 +346,10 @@ def run_epr_session(
         sifted_key_a=outcome_a[keep].astype(np.uint8),
         sifted_key_b=(1 - outcome_b[keep]).astype(np.uint8),
         events=EPR_EVENTS,
-        axes=axes,
         eve_holevo_bits=eve_holevo,
     )
+    transcript._axes, transcript._draw_axes = axes, draw_axes
+    return transcript
 
 
 def _pauli_flips(labels: np.ndarray, diag_basis: np.ndarray) -> np.ndarray:

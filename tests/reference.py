@@ -5,11 +5,18 @@ These are the textbook forms the package's rotation kernel
 over qubits, build the projectors onto the spin eigenstates along an axis,
 apply them to the addressed qubits of the whole amplitude vector, and read
 Born weights off the norms of the projected branches.
+
+It also keeps the whole-array Werner-pair sampler that
+:func:`qkdlab.protocol.run_epr_session` replaced: an axis for every pair,
+singlets included, then every pair's outcomes from its label and axis.
 """
 
 import math
 
 import numpy as np
+
+from qkdlab.channel import sample_common_axis_outcomes
+from qkdlab.qstate import random_axes
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -109,3 +116,12 @@ def measure_pair(
     idx = int(rng.choice(4, p=probs / probs.sum()))
     v = branches[idx]
     return idx // 2, idx % 2, v / np.linalg.norm(v), probs
+
+
+def whole_array_outcomes(
+    labels: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(axes, outcome_a, outcome_b) of pairs with Bell ``labels``, each pair
+    measured along its own uniform axis, drawn for every pair."""
+    axes = random_axes(labels.shape[0], rng)
+    return (axes, *sample_common_axis_outcomes(labels, axes, rng))

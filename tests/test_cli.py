@@ -407,7 +407,7 @@ class TestSimulateOutputs:
 
     @pytest.mark.parametrize("flags, n, digest", [
         (["--n", "50", "--m", "10"], 50,
-         "5eccacb201f95b9196703fa5b3dd2d7f547c4ab1b3c6f0a68dcf3b713b075e6b"),
+         "425ecd2d75803373857796d54995b354fc0a64c3e72e0ab639f646d98953f991"),
         (["--protocol", "bb84", "--omega", "0.1", "--n", "200", "--m", "20"], 200,
          "d92e587db88df72ffd8cf2a4eebfb8c85f21621b75ddf6e0dbe3dd415bf0cf46"),
     ], ids=["epr", "bb84"])
@@ -523,8 +523,8 @@ class TestSimulateOutputs:
             "bc5ac9768613e1e7586d65a1f6663684a7f851444573e02f3a603ded05916408")
 
     @pytest.mark.parametrize("flags, digests", [
-        ([], ("c9ad3d72fd45616df4ece1a26008a843a14d09a697cb4a7ef50b6b20431af8f7",
-              "54fbb9fca32c8576973f1b35291bac4a52950ae881edc36e47e213902ec2b928")),
+        ([], ("4bd86e85ff93f94a3c5ef7d33999d3209d0425328d18d33b36c2450071a1c262",
+              "17ac9c7fcd02751e8e334ffed3395b129c629c9933ad638aa1dbf9c1f6f4e2ac")),
         (["--protocol", "bb84", "--omega", "0.1"],
          ("ca62bd35081f0dddf4fbc96231876a75d730f0de739cf6f8caaf1d1d72f64df7",
           "cf45de083ea0a2c6a219433d48bb02343ecd1359227aac4ebca7fa3f2e21d539")),
@@ -545,6 +545,30 @@ class TestSimulateOutputs:
         assert run_cli(args + ["--out", str(a)], capsys)[0] == 0
         assert run_cli(args + ["--out", str(b)], capsys)[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("flags", [
+        ["--n", "3000", "--m", "300"],
+        ["--n", "3000", "--m", "300", "--attack", "substitute:0.3"],
+        ["--protocol", "bb84", "--omega", "0.1", "--n", "3000", "--m", "300"],
+        ["--n", "4", "--m", "2", "--attack", "coherent"],
+    ], ids=["epr", "substitute", "bb84", "coherent"])
+    def test_transcript_changes_nothing_else(self, tmp_path, capsys, flags):
+        """Writing trial 0's transcript leaves the CSV and the summary byte-identical."""
+        if "coherent" in flags:
+            attack = tmp_path / "attack.txt"
+            attack.write_text(
+                "0000 0 0.6 0.0\n0100 1 0.0 0.6\n0030 2 0.5291502622129181 0.0\n")
+            flags = flags + ["--attack-file", str(attack)]
+        base = ["simulate", *flags, "--epsilon", "0.2" if "coherent" in flags else "0.03",
+                "--trials", "3", "--seed", "8", "--kprime", "5"]
+        outputs = {}
+        for name, extra in (("plain", []), ("written", ["--transcript", str(tmp_path / "t.jsonl")])):
+            out, summ = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+            assert run_cli(base + extra + ["--out", str(out), "--summary", str(summ)],
+                           capsys)[0] == 0
+            outputs[name] = (out.read_bytes(), summ.read_bytes())
+        assert (tmp_path / "t.jsonl").stat().st_size > 0
+        assert outputs["plain"] == outputs["written"]
 
     def test_different_seed_changes_output(self, tmp_path, capsys):
         base = ["simulate", "--n", "3000", "--m", "300", "--epsilon", "0.03"]

@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import whole_array_outcomes
 from scipy import stats
 
-from qkdlab import protocol
+from qkdlab import channel, protocol
 from qkdlab.adversary import (
     CoherentAttack,
     InterceptResend,
     SubstituteAttack,
+    substitute_pairs,
 )
 from qkdlab.channel import ChannelModel
 from qkdlab.errors import ConfigError, UndersamplingError
@@ -160,6 +162,82 @@ class TestEprSession:
         # 30% substituted pairs erring 2/3 of the time: rate far above window
         assert tr.verdict == "rejected"
         assert tr.error_rate_estimate > 0.1
+
+    # Uniform triplet weights (the CLI's substitute:0.3) twirl the law, so
+    # antiparallel is independent of the axis; psi1 alone errs by n_z**2.
+    @pytest.mark.parametrize("weights", [(1 / 3, 1 / 3, 1 / 3), (1.0, 0.0, 0.0)],
+                             ids=["uniform", "psi1"])
+    def test_sampler_keeps_the_whole_array_law(self, weights):
+        """Sessions that draw axes for non-singlets only, and the old sampler
+        that drew one for every pair, agree on (antiparallel, |n_z| tercile)
+        within 4 sigma; every transcript axis is a unit vector whose
+        components are each Uniform(-1, 1)."""
+        n, sessions, eps = 20000, 8, 0.02
+        cfg = SessionConfig(n, 100, eps, threshold_mode="window")
+        chan = ChannelModel.from_epsilon(eps)
+        atk = SubstituteAttack(fraction=0.3, label_weights=weights)
+
+        def tercile_counts(anti, axes):
+            tercile = np.minimum((3.0 * np.abs(axes[:, 2])).astype(int), 2)
+            return np.bincount(3 * anti + tercile, minlength=6)
+
+        new, old, written = np.zeros(6), np.zeros(6), []
+        for s in range(sessions):
+            tr = run_epr_session(cfg, chan, atk, stream(530, s))
+            axes = tr.axes
+            written.append(axes)
+            new += tercile_counts(tr.outcome_a != tr.outcome_b, axes)
+            rng = stream(531, s)
+            labels, _ = substitute_pairs(chan.sample_labels(n, rng), atk.fraction,
+                                         atk.label_weights, rng)
+            axes, a, b = whole_array_outcomes(labels, rng)
+            old += tercile_counts(a != b, axes)
+        total = sessions * n
+        pooled = (new + old) / (2.0 * total)
+        assert np.all(np.abs(new - old) <= 4.0 * np.sqrt(2.0 * total * pooled * (1.0 - pooled)))
+
+        written = np.concatenate(written)
+        assert np.abs(np.linalg.norm(written, axis=1) - 1.0).max() <= 1e-12
+        for component in written.T:
+            observed = np.histogram(component, bins=10, range=(-1.0, 1.0))[0]
+            expected = component.size / 10.0
+            assert ((observed - expected) ** 2 / expected).sum() < stats.chi2.ppf(0.999, df=9)
+
+    def test_plain_session_draws_axes_for_non_singlets_only(self, monkeypatch):
+        """No attack: one random_axes call sized to the non-singlet labels, one
+        outcome draw for them, and the singlets' axes once, on the first read
+        of ``axes``."""
+        sizes, outcome_calls, drawn = [], [], []
+        real_axes = protocol.random_axes
+        real_outcomes = channel.sample_common_axis_outcomes
+        real_labels = ChannelModel.sample_labels
+
+        def counting_axes(k, rng):
+            sizes.append(k)
+            return real_axes(k, rng)
+
+        def counting_outcomes(labels, axes, rng):
+            outcome_calls.append(labels.size)
+            return real_outcomes(labels, axes, rng)
+
+        def recording_labels(self, k, rng):
+            drawn.append(real_labels(self, k, rng))
+            return drawn[-1]
+
+        monkeypatch.setattr(protocol, "random_axes", counting_axes)
+        monkeypatch.setattr(channel, "sample_common_axis_outcomes", counting_outcomes)
+        monkeypatch.setattr(ChannelModel, "sample_labels", recording_labels)
+        n = 5000
+        tr = run_epr_session(SessionConfig(n, 500, 0.02), ChannelModel.from_epsilon(0.02),
+                             None, stream(532))
+        noisy = int(np.count_nonzero(drawn[0]))
+        assert 0 < noisy < n
+        assert sizes == [noisy]
+        assert outcome_calls == [noisy]
+        assert tr.axes.shape == (n, 3)
+        assert sizes == [noisy, n - noisy]
+        assert tr.axes.shape == (n, 3)
+        assert sizes == [noisy, n - noisy]
 
     def test_coherent_attack_requires_matching_n(self):
         cfg = SessionConfig(5, 2, 0.0)
