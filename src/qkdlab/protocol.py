@@ -10,8 +10,7 @@ number of parallel (erroneous) outcomes is inside the configured window.
 Because the axes are announced only after the acknowledgment, no attack
 interface in this module ever sees axis or basis information: attacks
 act on the delivered pairs (label substitution, or wholesale coherent
-preparation) before any axis exists.  Each transcript's ``events`` tuple is
-its protocol's fixed step order, ``EPR_EVENTS`` or ``BB84_EVENTS``.
+preparation) before any axis exists.
 
 Prepare-and-measure session (``run_bb84_session``): Alice sends photons
 polarized in the rectilinear basis with probability 1 - omega and the
@@ -59,29 +58,6 @@ from .rng import stream
 
 if TYPE_CHECKING:
     from collections.abc import Callable
-
-EPR_EVENTS = (
-    "prepared",
-    "delivered",
-    "acknowledged",
-    "axes_announced",
-    "measured",
-    "test_set_announced",
-    "results_compared",
-    "verdict",
-)
-
-BB84_EVENTS = (
-    "prepared",
-    "delivered",
-    "measured",
-    "bases_announced",
-    "sifted",
-    "test_set_announced",
-    "results_compared",
-    "verdict",
-)
-
 
 @dataclass(frozen=True)
 class SessionConfig:
@@ -172,7 +148,6 @@ class Transcript:
     of ``axes`` draws them.
     """
 
-    protocol: str
     verdict: str
     observed_error_count: int
     test_size: int
@@ -182,7 +157,6 @@ class Transcript:
     sifted: np.ndarray
     sifted_key_a: np.ndarray
     sifted_key_b: np.ndarray
-    events: tuple[str, ...]
     basis_a: np.ndarray | None = None
     basis_b: np.ndarray | None = None
     eve_holevo_bits: float | None = None
@@ -335,7 +309,6 @@ def run_epr_session(
         eve_holevo = holevo_on_pass(attack, plan)
 
     transcript = Transcript(
-        protocol="epr",
         verdict=verdict,
         observed_error_count=errors,
         test_size=m,
@@ -345,7 +318,6 @@ def run_epr_session(
         sifted=np.ones(n, dtype=bool),
         sifted_key_a=outcome_a[keep].astype(np.uint8),
         sifted_key_b=(1 - outcome_b[keep]).astype(np.uint8),
-        events=EPR_EVENTS,
         eve_holevo_bits=eve_holevo,
     )
     transcript._axes, transcript._draw_axes = axes, draw_axes
@@ -427,7 +399,6 @@ def run_bb84_session(
 
     keep = matched & ~in_test
     return Transcript(
-        protocol="bb84",
         verdict=verdict,
         observed_error_count=errors,
         test_size=m_t,
@@ -437,7 +408,6 @@ def run_bb84_session(
         sifted=matched,
         sifted_key_a=bits_a[keep].astype(np.uint8),
         sifted_key_b=outcome_b[keep].astype(np.uint8),
-        events=BB84_EVENTS,
         basis_a=basis_a,
         basis_b=basis_b,
         eve_bits=eve_bits,
@@ -451,42 +421,9 @@ def run_bb84_session(
 EQUIVALENCE_ATOL = 1e-12  # float slack of the exact distance between the constructions
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Exact distance between the two constructions, and a sampled cross-check.
-
-    ``distance``, the total-variation distance of their joint laws, alone
-    sets the verdict.  ``counts`` holds each construction's (basis_a,
-    basis_b, bit_a, bit_b) cell counts, and ``max_z`` the largest
-    two-proportion z-score between them.
-    """
-
-    n_samples: int
-    distance: float
-    counts: dict[str, np.ndarray]
-    max_z: float
-
-    @property
-    def consistent(self) -> bool:
-        return self.distance <= EQUIVALENCE_ATOL
-
-    def to_dict(self) -> dict:
-        return {
-            "n_samples": int(self.n_samples),
-            "distance": float(self.distance),
-            "max_z": float(self.max_z),
-            "consistent": bool(self.consistent),
-            "counts": {k: v.tolist() for k, v in self.counts.items()},
-        }
-
-
-def epr_bb84_equivalence_check(
-    n_samples: int,
-    fidelity: float,
-    omega: float,
-    rng: np.random.Generator,
-) -> EquivalenceReport:
-    """Compare direct polarization sampling against the pair construction.
+def epr_bb84_equivalence_check(fidelity: float, omega: float) -> float:
+    """Total-variation distance between direct polarization sampling and the
+    pair construction.
 
     Both are exact tables p[label, basis_a, basis_b, bit_a, bit_b]:
     ``direct`` sends a uniform bit through the Pauli channel of
@@ -496,11 +433,8 @@ def epr_bb84_equivalence_check(
     bit flipped.  The two measurements on a pair commute, so one table
     covers Alice measuring first and Bob measuring first alike.  The
     distance weighs both tables by the label law of ``fidelity`` and the
-    basis law of ``omega``; the cross-check draws ``n_samples`` outcomes
-    from each.
+    basis law of ``omega``.
     """
-    if n_samples < 1000:
-        raise ConfigError("equivalence comparison needs at least 1000 samples")
     p_label = channel_mod.label_probs(fidelity)
     if not 0.0 <= omega <= 1.0:
         raise ConfigError(f"omega {omega} outside [0, 1]")
@@ -519,19 +453,4 @@ def epr_bb84_equivalence_check(
 
     p_basis = np.array([1.0 - omega, omega])
     group_p = np.einsum("k,i,j->kij", p_label, p_basis, p_basis)
-    distance = 0.5 * np.einsum("kij,kijxy->", group_p, np.abs(direct - paired))
-
-    counts = {}
-    # one multinomial per (label, basis_a, basis_b) group, in C order; an
-    # empty group draws nothing from the generator
-    for name, table in (("direct", direct), ("paired", paired)):
-        groups = rng.multinomial(n_samples, group_p.reshape(-1))
-        cells = rng.multinomial(groups, table.reshape(16, 4))
-        counts[name] = cells.reshape(4, 2, 2, 2, 2).sum(axis=0)
-    p1, p2 = counts["direct"] / n_samples, counts["paired"] / n_samples
-    pooled = (counts["direct"] + counts["paired"]) / (2.0 * n_samples)
-    se = np.sqrt(pooled * (1.0 - pooled) * 2.0 / n_samples)
-    z = np.divide(np.abs(p1 - p2), se, out=np.zeros_like(se), where=se > 0.0)
-    return EquivalenceReport(
-        n_samples=n_samples, distance=float(distance), counts=counts, max_z=float(z.max())
-    )
+    return float(0.5 * np.einsum("kij,kijxy->", group_p, np.abs(direct - paired)))

@@ -144,12 +144,10 @@ def measure_pair(
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy -Tr(rho log2 rho) in bits.
 
-    Eigenvalues in [-1e-6, 0) are clamped to zero; anything lower is
-    rejected as non-physical input.
+    Negative eigenvalues, no lower than -1e-6 since :class:`DensityMatrix`
+    checked them, are clamped to zero.
     """
     vals = np.linalg.eigvalsh((rho.matrix + rho.matrix.conj().T) / 2.0)
-    if vals.min() < -EIG_ATOL:
-        raise ValueError(f"eigenvalue {vals.min()} below -{EIG_ATOL}: not a state")
     vals = np.clip(vals, 0.0, None)
     vals = vals[vals > 0.0]
     ent = float(-(vals * np.log2(vals)).sum())
