@@ -71,22 +71,13 @@ class InterceptResend:
             raise ConfigError(f"unknown intercept policy {self.policy!r}")
 
 
-def _check_label_weights(label_weights) -> tuple[float, float, float]:
-    w = tuple(float(x) for x in label_weights)
-    if len(w) == 4:
-        if w[0] != 0.0:
-            raise ConfigError("substitution must not place weight on the singlet label")
-        w = w[1:]
-    if len(w) != 3:
-        raise ConfigError("label weights must cover the three triplet labels")
-    if any(x < 0.0 for x in w) or abs(sum(w) - 1.0) > 1e-9:
-        raise ConfigError("label weights must be nonnegative and sum to 1")
-    return w
-
-
 @dataclass(frozen=True)
 class SubstituteAttack:
-    """Replace a fraction of pairs by triplets drawn from ``label_weights``."""
+    """Replace a fraction of pairs by triplets drawn from ``label_weights``.
+
+    ``label_weights`` may name the singlet first, with weight 0; it is
+    stored as the three triplet weights.
+    """
 
     fraction: float
     label_weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
@@ -94,31 +85,34 @@ class SubstituteAttack:
     def __post_init__(self) -> None:
         if not 0.0 <= self.fraction <= 1.0:
             raise ConfigError(f"substitution fraction {self.fraction} outside [0, 1]")
-        object.__setattr__(self, "label_weights", _check_label_weights(self.label_weights))
+        w = tuple(float(x) for x in self.label_weights)
+        if len(w) == 4:
+            if w[0] != 0.0:
+                raise ConfigError("substitution must not place weight on the singlet label")
+            w = w[1:]
+        if len(w) != 3:
+            raise ConfigError("label weights must cover the three triplet labels")
+        if any(x < 0.0 for x in w) or abs(sum(w) - 1.0) > 1e-9:
+            raise ConfigError("label weights must be nonnegative and sum to 1")
+        object.__setattr__(self, "label_weights", w)
 
 
 def substitute_pairs(
-    labels: np.ndarray,
-    fraction: float,
-    label_weights,
-    rng: np.random.Generator,
+    labels: np.ndarray, attack: SubstituteAttack, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Overwrite a random ``round(fraction * n)`` positions with triplet labels.
+    """Overwrite a random ``round(attack.fraction * n)`` positions with triplet labels.
 
     Returns (new labels, boolean mask of substituted positions).  The
     remaining positions keep their input labels, so composing with a noisy
     channel means sampling the input stream from that channel.
     """
-    if not 0.0 <= fraction <= 1.0:
-        raise ConfigError(f"substitution fraction {fraction} outside [0, 1]")
-    weights = _check_label_weights(label_weights)
     labels = np.array(labels, dtype=np.int64, copy=True)
     n = labels.shape[0]
-    count = int(round(fraction * n))
+    count = int(round(attack.fraction * n))
     mask = np.zeros(n, dtype=bool)
     if count:
         positions = rng.choice(n, size=count, replace=False)
-        labels[positions] = rng.choice([1, 2, 3], size=count, p=weights)
+        labels[positions] = rng.choice([1, 2, 3], size=count, p=attack.label_weights)
         mask[positions] = True
     return labels, mask
 

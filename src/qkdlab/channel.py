@@ -1,10 +1,11 @@
 """Noisy pair sources modeled as Bell-diagonal (Werner) mixtures.
 
-A channel of singlet fidelity F delivers the singlet with probability F
-and each of the three triplet Bell states with probability (1 - F)/3.
-When both halves of a pair are measured along a common random axis the
-outcomes are antiparallel with probability (1 + 2F)/3, so the error rate
-of the ideal-singlet protocol is
+A :class:`ChannelModel` of singlet fidelity F delivers the singlet with
+probability F and each of the three triplet Bell states with probability
+(1 - F)/3 (:meth:`ChannelModel.sample_labels`).  When both halves of a pair
+are measured along a common random axis the outcomes are antiparallel with
+probability (1 + 2F)/3, so the error rate of the ideal-singlet protocol
+(``epsilon``; :meth:`ChannelModel.from_epsilon` inverts it) is
 
     epsilon = 1 - (1 + 2F)/3 = (2/3) (1 - F).
 
@@ -53,25 +54,6 @@ def label_probs(f: float) -> np.ndarray:
     return np.array([f] + [(1.0 - f) / 3.0] * 3)
 
 
-
-def epsilon_from_fidelity(f: float) -> float:
-    """Error rate (2/3)(1 - F) of the singlet-based protocol."""
-    return 2.0 * (1.0 - _check_fidelity(f)) / 3.0
-
-
-def fidelity_from_epsilon(eps: float) -> float:
-    """Invert the error-rate dictionary; valid for eps in [0, 2/3]."""
-    eps = float(eps)
-    if not 0.0 <= eps <= EPSILON_MAX + 1e-12:
-        raise ConfigError(f"no Werner fidelity exists for error rate {eps}")
-    return max(0.0, 1.0 - 1.5 * eps)
-
-
-def sample_pair_labels(f: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Sample ``n`` Bell labels (0 = singlet, 1..3 = triplets) from the mixture."""
-    return rng.choice(4, size=n, p=label_probs(f))
-
-
 def antiparallel_prob_given_label(labels: np.ndarray, axes: np.ndarray) -> np.ndarray:
     """Exact per-axis antiparallel probability for each (label, axis) row.
 
@@ -112,11 +94,17 @@ class ChannelModel:
 
     @classmethod
     def from_epsilon(cls, eps: float) -> "ChannelModel":
-        return cls(fidelity_from_epsilon(eps))
+        """Invert the error-rate dictionary; valid for eps in [0, 2/3]."""
+        eps = float(eps)
+        if not 0.0 <= eps <= EPSILON_MAX + 1e-12:
+            raise ConfigError(f"no Werner fidelity exists for error rate {eps}")
+        return cls(max(0.0, 1.0 - 1.5 * eps))
 
     @property
     def epsilon(self) -> float:
-        return epsilon_from_fidelity(self.fidelity)
+        """Error rate (2/3)(1 - F) of the singlet-based protocol."""
+        return 2.0 * (1.0 - self.fidelity) / 3.0
 
     def sample_labels(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return sample_pair_labels(self.fidelity, n, rng)
+        """Sample ``n`` Bell labels (0 = singlet, 1..3 = triplets) from the mixture."""
+        return rng.choice(4, size=n, p=label_probs(self.fidelity))

@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run key-agreement sessions")
     sim.add_argument("--protocol", choices=("epr", "bb84"), default="epr")
     sim.add_argument("--n", type=int, default=1000, help="pairs/photons per session")
-    sim.add_argument("--m", type=int, default=100, help="test sample size (epr; bb84 ignores it)")
+    sim.add_argument("--m", type=int, default=100, help="test size in 1..n (bb84 ignores it)")
     sim.add_argument("--fidelity", type=float, default=None)
     sim.add_argument("--epsilon", type=float, default=None, help="channel error rate")
     sim.add_argument("--omega", type=float, default=0.5, help="diagonal-basis probability")

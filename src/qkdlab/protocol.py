@@ -18,10 +18,14 @@ diagonal basis with probability omega; Bob measures likewise.  Positions
 where the bases agree are the sifted set.  The test set holds k
 diagonal-matched and k rectilinear-matched positions, k being the smaller
 matched count, drawn at random from the larger class; it ignores
-``test_size``.  The session accepts when the observed test error rate is
-below twice the expected rate (or inside the window, when so
-configured).  Skewing omega toward 0 drives the sifted fraction
+``test_size``, which :class:`SessionConfig` still requires to lie in
+1..n_pairs.  Skewing omega toward 0 drives the sifted fraction
 (1-omega)^2 + omega^2 toward 1 instead of 1/2.
+
+Past their outcomes and test positions the two sessions are one: a tested
+position where Bob's key bit differs from Alice's is an error, the session
+accepts when the error count lies in :func:`accepted_count_interval`, and
+the key is the sifted untested positions.
 
 Channel noise is simulated classically through Bell labels / Pauli
 errors, which reproduces the exact quantum statistics for these
@@ -89,32 +93,24 @@ class SessionConfig:
             raise ConfigError(f"unknown threshold_mode {self.threshold_mode!r}")
 
 
-def acceptance_window(eps: float, c: float, m: int) -> tuple[int, int]:
-    """Accepted error-count interval [(eps - c eps^2) m, (eps + c eps^2) m].
-
-    Bounds are rounded inward to integers (ceil below, floor above) and
-    clamped at 0; a window that rounds empty is a configuration error.
-    """
-    if m < 1:
-        raise ConfigError(f"test size must be positive, got {m}")
-    if not 0.0 <= eps < 1.0:
-        raise ConfigError(f"expected error {eps} outside [0, 1)")
-    if not 0.0 < c < math.inf:
-        raise ConfigError(f"window coefficient must be positive and finite, got {c}")
-    lo = max(0, math.ceil((eps - c * eps * eps) * m - 1e-9))
-    hi = math.floor((eps + c * eps * eps) * m + 1e-9)
-    if hi < lo:
-        raise ConfigError(
-            f"acceptance window for eps={eps}, c={c}, m={m} rounds empty"
-        )
-    return lo, hi
-
-
 def accepted_count_interval(config: SessionConfig, m: int) -> tuple[int, int]:
-    """The accepted error-count interval for a test of size ``m``."""
+    """The accepted error-count interval for a test of ``m`` >= 1 positions.
+
+    ``window`` mode accepts [(eps - c eps^2) m, (eps + c eps^2) m], rounded
+    inward to integers (ceil below, floor above) and clamped at 0;
+    ``two_epsilon`` mode accepts the counts 0..m below 2 eps m.  An interval
+    that rounds empty is a configuration error.
+    """
+    eps, c = config.expected_error, config.window_coeff
     if config.threshold_mode == "window":
-        return acceptance_window(config.expected_error, config.window_coeff, m)
-    hi = math.ceil(2.0 * config.expected_error * m - 1e-9) - 1
+        lo = max(0, math.ceil((eps - c * eps * eps) * m - 1e-9))
+        hi = math.floor((eps + c * eps * eps) * m + 1e-9)
+        if hi < lo:
+            raise ConfigError(
+                f"acceptance window for eps={eps}, c={c}, m={m} rounds empty"
+            )
+        return lo, hi
+    hi = math.ceil(2.0 * eps * m - 1e-9) - 1
     if hi < 0:
         raise ConfigError(
             "threshold 2*eps rounds to zero tolerated errors; use window mode"
@@ -221,15 +217,33 @@ class Transcript:
                 ))
 
 
-def _check_attack(protocol: str, attack) -> None:
-    if attack is None:
-        return
-    if protocol == "epr" and isinstance(attack, (SubstituteAttack, CoherentAttack)):
-        return
-    if protocol == "bb84" and isinstance(attack, InterceptResend):
-        return
-    raise ConfigError(
-        f"attack {type(attack).__name__} is not applicable to the {protocol} protocol"
+def _check_attack(attack, kinds: tuple[type, ...], protocol: str) -> None:
+    if attack is not None and not isinstance(attack, kinds):
+        raise ConfigError(
+            f"attack {type(attack).__name__} is not applicable to the {protocol} protocol"
+        )
+
+
+def _conclude(config, outcome_a, outcome_b, key_b, in_test, sifted, **extra) -> Transcript:
+    """Count the tested positions where Bob's key bit ``key_b`` differs from
+    ``outcome_a``, judge the count, and keep the sifted untested positions as
+    the keys.  ``extra`` holds the protocol's own transcript fields.
+    """
+    m = int(np.count_nonzero(in_test))
+    errors = int(np.count_nonzero((outcome_a != key_b) & in_test))
+    lo, hi = accepted_count_interval(config, m)
+    keep = sifted & ~in_test
+    return Transcript(
+        verdict="accepted" if lo <= errors <= hi else "rejected",
+        observed_error_count=errors,
+        test_size=m,
+        outcome_a=outcome_a,
+        outcome_b=outcome_b,
+        in_test=in_test,
+        sifted=sifted,
+        sifted_key_a=outcome_a[keep].astype(np.uint8),
+        sifted_key_b=key_b[keep].astype(np.uint8),
+        **extra,
     )
 
 
@@ -256,8 +270,10 @@ def run_epr_session(
     ``stream(a)``, ``a`` a 63-bit integer the session draws from ``rng``;
     no other draw reads that stream.
     """
-    _check_attack("epr", attack)
+    _check_attack(attack, (SubstituteAttack, CoherentAttack), "epr")
     n, m = config.n_pairs, config.test_size
+    outcome_a = np.empty(n, dtype=np.uint8)
+    outcome_b = np.empty(n, dtype=np.uint8)
 
     coherent = isinstance(attack, CoherentAttack)
     axes = draw_axes = None
@@ -267,20 +283,16 @@ def run_epr_session(
                 f"coherent attack holds {attack.n_pairs} pairs but the session needs {n}"
             )
         axes = random_axes(n, rng)
-        outcome_a = np.empty(n, dtype=np.uint8)
-        outcome_b = np.empty(n, dtype=np.uint8)
         rest = attack.amplitudes
         for t in range(n):
             outcome_a[t], outcome_b[t], rest = measure_pair(rest, axes[t], rng)
     else:
         labels = channel.sample_labels(n, rng)
         if isinstance(attack, SubstituteAttack):
-            labels, _ = substitute_pairs(labels, attack.fraction, attack.label_weights, rng)
+            labels, _ = substitute_pairs(labels, attack, rng)
         singlet = labels == 0
         noisy = np.flatnonzero(~singlet)
         noisy_axes = random_axes(noisy.size, rng)
-        outcome_a = np.empty(n, dtype=np.uint8)
-        outcome_b = np.empty(n, dtype=np.uint8)
         outcome_a[noisy], outcome_b[noisy] = channel_mod.sample_common_axis_outcomes(
             labels[noisy], noisy_axes, rng)
         # a singlet's outcome is uniform and antiparallel along every axis
@@ -297,29 +309,13 @@ def run_epr_session(
     test_idx = select_test_set(n, m, rng)
     in_test = np.zeros(n, dtype=bool)
     in_test[test_idx] = True
-    errors = int((outcome_a[test_idx] == outcome_b[test_idx]).sum())
-
-    lo, hi = accepted_count_interval(config, m)
-    verdict = "accepted" if lo <= errors <= hi else "rejected"
-
-    keep = ~in_test
     eve_holevo = None
     if coherent:
+        lo, hi = accepted_count_interval(config, m)
         plan = TestPlan(tuple(int(i) for i in test_idx), axes[test_idx], lo, hi)
         eve_holevo = holevo_on_pass(attack, plan)
-
-    transcript = Transcript(
-        verdict=verdict,
-        observed_error_count=errors,
-        test_size=m,
-        outcome_a=outcome_a,
-        outcome_b=outcome_b,
-        in_test=in_test,
-        sifted=np.ones(n, dtype=bool),
-        sifted_key_a=outcome_a[keep].astype(np.uint8),
-        sifted_key_b=(1 - outcome_b[keep]).astype(np.uint8),
-        eve_holevo_bits=eve_holevo,
-    )
+    transcript = _conclude(config, outcome_a, outcome_b, 1 - outcome_b, in_test,
+                           np.ones(n, dtype=bool), eve_holevo_bits=eve_holevo)
     transcript._axes, transcript._draw_axes = axes, draw_axes
     return transcript
 
@@ -350,7 +346,7 @@ def run_bb84_session(
     of the classes aborts with an undersampling error rather than running a
     one-sided test.
     """
-    _check_attack("bb84", attack)
+    _check_attack(attack, (InterceptResend,), "bb84")
     n = config.n_pairs
     omega = config.omega
 
@@ -391,27 +387,8 @@ def run_bb84_session(
         drawn = matched_class.size > k
         in_test[rng.choice(matched_class, k, replace=False) if drawn else matched_class] = True
 
-    m_t = int(in_test.sum())
-    errors = int((bits_a[in_test] != outcome_b[in_test]).sum())
-
-    lo, hi = accepted_count_interval(config, m_t)
-    verdict = "accepted" if lo <= errors <= hi else "rejected"
-
-    keep = matched & ~in_test
-    return Transcript(
-        verdict=verdict,
-        observed_error_count=errors,
-        test_size=m_t,
-        outcome_a=bits_a,
-        outcome_b=outcome_b,
-        in_test=in_test,
-        sifted=matched,
-        sifted_key_a=bits_a[keep].astype(np.uint8),
-        sifted_key_b=outcome_b[keep].astype(np.uint8),
-        basis_a=basis_a,
-        basis_b=basis_b,
-        eve_bits=eve_bits,
-    )
+    return _conclude(config, bits_a, outcome_b, outcome_b, in_test, matched,
+                     basis_a=basis_a, basis_b=basis_b, eve_bits=eve_bits)
 
 
 # ---------------------------------------------------------------------------

@@ -32,12 +32,7 @@ from qkdlab.bounds import (
     binary_entropy,
     secrecy_lower_bound,
 )
-from qkdlab.channel import (
-    ChannelModel,
-    epsilon_from_fidelity,
-    sample_common_axis_outcomes,
-    sample_pair_labels,
-)
+from qkdlab.channel import ChannelModel, sample_common_axis_outcomes
 from qkdlab.cli import main, simulate_trial
 from qkdlab.postprocess import final_key_length
 from qkdlab.protocol import SessionConfig, run_bb84_session, run_epr_session
@@ -59,7 +54,7 @@ def test_c01_antiparallel_rate_tracks_fidelity():
     n = 10 ** 5
     for f in (1.0, 0.97, 0.9, 0.25):
         t0 = time.perf_counter()
-        labels = sample_pair_labels(f, n, rng)
+        labels = ChannelModel(f).sample_labels(n, rng)
         axes = random_axes(n, rng)
         oa, ob = sample_common_axis_outcomes(labels, axes, rng)
         observed = float((oa != ob).mean())
@@ -233,7 +228,7 @@ def test_c09_secrecy_rate_approaches_unity():
     s4 = secrecy_lower_bound(1e-4)
     assert 0.0 < s2 < s3 < s4 < 1.0
     assert 1.0 - s4 < 15 * 10.0 * 1e-4
-    assert 1.0 - epsilon_from_fidelity(0.25) == 0.5
+    assert 1.0 - ChannelModel(0.25).epsilon == 0.5
 
 
 def test_c10_information_disturbance_tradeoff():

@@ -60,7 +60,7 @@ class TestSubstitutePairs:
     def test_exact_replacement_count(self):
         rng = stream(401)
         labels = np.zeros(1000, dtype=np.int64)
-        new, mask = substitute_pairs(labels, 0.1, (1 / 3, 1 / 3, 1 / 3), rng)
+        new, mask = substitute_pairs(labels, SubstituteAttack(0.1), rng)
         assert mask.sum() == 100
         assert np.all(new[mask] > 0)
         assert np.all(new[~mask] == 0)
@@ -68,28 +68,26 @@ class TestSubstitutePairs:
     def test_zero_fraction_identity(self):
         rng = stream(402)
         labels = np.array([0, 1, 2, 3, 0])
-        new, mask = substitute_pairs(labels, 0.0, (1, 0, 0), rng)
+        new, mask = substitute_pairs(labels, SubstituteAttack(0.0, (1, 0, 0)), rng)
         assert np.array_equal(new, labels)
         assert not mask.any()
 
     def test_composes_with_channel_labels(self):
         rng = stream(403)
         labels = np.full(500, 2, dtype=np.int64)
-        new, mask = substitute_pairs(labels, 0.2, (1, 0, 0), rng)
+        new, mask = substitute_pairs(labels, SubstituteAttack(0.2, (1, 0, 0)), rng)
         assert np.all(new[mask] == 1)
         assert np.all(new[~mask] == 2)
 
     def test_rejects_singlet_weight(self):
-        rng = stream(404)
         with pytest.raises(ConfigError):
-            substitute_pairs(np.zeros(10, dtype=np.int64), 0.5, (0.5, 0.5, 0.0, 0.0), rng)
+            SubstituteAttack(fraction=0.5, label_weights=(0.5, 0.5, 0.0, 0.0))
         with pytest.raises(ConfigError):
             SubstituteAttack(fraction=0.1, label_weights=(0.1, 0.3, 0.3, 0.3))
 
     def test_rejects_bad_fraction(self):
-        rng = stream(405)
         with pytest.raises(ConfigError):
-            substitute_pairs(np.zeros(10, dtype=np.int64), 1.5, (1 / 3, 1 / 3, 1 / 3), rng)
+            SubstituteAttack(fraction=1.5)
 
 
 def intercept_session(policy, seed, n=4000):

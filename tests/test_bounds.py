@@ -18,11 +18,7 @@ from qkdlab.bounds import (
     eve_info_upper,
     secrecy_lower_bound,
 )
-from qkdlab.channel import (
-    fidelity_from_epsilon,
-    sample_common_axis_outcomes,
-    sample_pair_labels,
-)
+from qkdlab.channel import ChannelModel, sample_common_axis_outcomes
 from qkdlab.errors import RegimeError
 from qkdlab.qstate import random_axes
 from qkdlab.rng import stream
@@ -310,8 +306,7 @@ def mixture_error_rate(
     for rate, count in blocks:
         if count == 0:
             continue
-        f = fidelity_from_epsilon(rate)
-        labels = sample_pair_labels(f, count, rng)
+        labels = ChannelModel.from_epsilon(rate).sample_labels(count, rng)
         axes = random_axes(count, rng)
         a, b = sample_common_axis_outcomes(labels, axes, rng)
         errors += int((a == b).sum())

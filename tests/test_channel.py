@@ -6,11 +6,8 @@ import pytest
 from qkdlab.channel import (
     ChannelModel,
     antiparallel_prob_given_label,
-    epsilon_from_fidelity,
-    fidelity_from_epsilon,
     label_probs,
     sample_common_axis_outcomes,
-    sample_pair_labels,
 )
 from qkdlab.errors import ConfigError
 from qkdlab.qstate import BELL_BASIS, random_axes
@@ -52,42 +49,41 @@ class TestWernerState:
 
 class TestFidelityDictionary:
     def test_antiparallel_examples(self):
-        assert 1 - epsilon_from_fidelity(1.0) == pytest.approx(1.0)
-        assert 1 - epsilon_from_fidelity(0.25) == pytest.approx(0.5)
-        assert 1 - epsilon_from_fidelity(0.97) == pytest.approx(0.98)
+        assert 1 - ChannelModel(1.0).epsilon == pytest.approx(1.0)
+        assert 1 - ChannelModel(0.25).epsilon == pytest.approx(0.5)
+        assert 1 - ChannelModel(0.97).epsilon == pytest.approx(0.98)
 
     def test_epsilon_examples(self):
-        assert epsilon_from_fidelity(1.0) == pytest.approx(0.0)
-        assert epsilon_from_fidelity(0.97) == pytest.approx(0.02)
-        assert fidelity_from_epsilon(0.5) == pytest.approx(0.25)
+        assert ChannelModel(1.0).epsilon == pytest.approx(0.0)
+        assert ChannelModel(0.97).epsilon == pytest.approx(0.02)
+        assert ChannelModel.from_epsilon(0.5).fidelity == pytest.approx(0.25)
 
     def test_round_trip_grid(self):
         for f in np.linspace(0.0, 1.0, 100):
-            assert fidelity_from_epsilon(epsilon_from_fidelity(f)) == pytest.approx(
-                f, abs=1e-12
-            )
+            eps = ChannelModel(f).epsilon
+            assert ChannelModel.from_epsilon(eps).fidelity == pytest.approx(f, abs=1e-12)
 
     def test_inversion_rejects_impossible_rate(self):
         # 2/3 is the rate of the fully depolarized channel; nothing is noisier
         with pytest.raises(ConfigError):
-            fidelity_from_epsilon(0.7)
+            ChannelModel.from_epsilon(0.7)
 
     def test_channel_model_accessors(self):
         chan = ChannelModel.from_epsilon(0.02)
         assert chan.fidelity == pytest.approx(0.97)
         assert chan.epsilon == pytest.approx(0.02)
-        assert 1 - epsilon_from_fidelity(chan.fidelity) == pytest.approx(0.98)
+        assert 1 - ChannelModel(chan.fidelity).epsilon == pytest.approx(0.98)
 
 
 class TestLabelSampling:
     def test_pure_channel_all_singlets(self):
         rng = stream(202)
-        labels = sample_pair_labels(1.0, 1000, rng)
+        labels = ChannelModel(1.0).sample_labels(1000, rng)
         assert np.all(labels == 0)
 
     def test_zero_fidelity_never_singlet(self):
         rng = stream(203)
-        labels = sample_pair_labels(0.0, 3000, rng)
+        labels = ChannelModel(0.0).sample_labels(3000, rng)
         assert np.all(labels > 0)
         counts = np.bincount(labels, minlength=4)
         assert np.all(np.abs(counts[1:] / 3000 - 1 / 3) < 3 * np.sqrt(2 / 9 / 3000))
@@ -95,13 +91,13 @@ class TestLabelSampling:
     def test_singlet_frequency(self):
         rng = stream(204)
         n = 10 ** 5
-        labels = sample_pair_labels(0.7, n, rng)
+        labels = ChannelModel(0.7).sample_labels(n, rng)
         freq = (labels == 0).mean()
         assert freq == pytest.approx(0.7, abs=0.0045)
 
     def test_scalar_variant(self):
         rng = stream(205)
-        draws = [int(sample_pair_labels(0.5, 1, rng)[0]) for _ in range(200)]
+        draws = [int(ChannelModel(0.5).sample_labels(1, rng)[0]) for _ in range(200)]
         assert set(draws) <= {0, 1, 2, 3}
 
 
@@ -127,7 +123,7 @@ class TestPerAxisStatistics:
         rng = stream(207)
         n = 10 ** 5
         for f in (0.97, 0.5):
-            labels = sample_pair_labels(f, n, rng)
+            labels = ChannelModel(f).sample_labels(n, rng)
             axes = random_axes(n, rng)
             a, b = sample_common_axis_outcomes(labels, axes, rng)
             anti = (a != b).mean()

@@ -554,6 +554,20 @@ class TestSimulateOutputs:
         assert tuple(hashlib.sha256(p.read_bytes()).hexdigest()
                      for p in (out, summ)) == digests
 
+    def test_bb84_ignores_m_but_checks_it(self, tmp_path, capsys):
+        """BB84 draws its own test set, so --m changes no CSV byte; it must still
+        lie in 1..n, as for EPR."""
+        args = ["simulate", "--protocol", "bb84", "--n", "400", "--epsilon", "0.02",
+                "--trials", "3", "--seed", "2"]
+        csvs = []
+        for m in ("1", "400"):
+            csvs.append(tmp_path / f"m{m}.csv")
+            assert run_cli([*args, "--m", m, "--out", str(csvs[-1])], capsys)[0] == 0
+        assert csvs[0].read_bytes() == csvs[1].read_bytes()
+        code, _, err = run_cli([*args, "--m", "0"], capsys)
+        assert code == 2
+        assert "test_size must lie in 1..400, got 0" in err
+
     def test_repeat_runs_byte_identical(self, tmp_path, capsys):
         args = ["simulate", "--n", "3000", "--m", "300", "--epsilon", "0.03",
                 "--trials", "5", "--seed", "42", "--kprime", "5"]
@@ -671,6 +685,20 @@ class TestBounds:
     def test_requires_point_or_grid(self, capsys):
         assert run_cli(["bounds"], capsys)[0] == 2
         assert run_cli(["bounds", "--grid-n", "10"], capsys)[0] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "0", "--epsilon", "0.1"],
+        ["--n", "-5", "--epsilon", "0.1"],
+        ["--grid-n", "0,100", "--grid-eps", "0.01", "--out", "GRID"],
+    ], ids=["n-0", "n-negative", "grid"])
+    def test_nonpositive_n_is_config_error(self, tmp_path, capsys, argv):
+        """A nonpositive N is a bad value (exit 2), not a point outside the regime."""
+        grid = tmp_path / "grid.csv"
+        code, _, err = run_cli(["bounds", *(str(grid) if a == "GRID" else a for a in argv)],
+                               capsys)
+        assert code == 2
+        assert "config error: N must be positive" in err
+        assert not grid.exists()
 
 
 class TestAttackEval:

@@ -23,7 +23,6 @@ from qkdlab.errors import ConfigError, UndersamplingError
 from qkdlab.protocol import (
     EQUIVALENCE_ATOL,
     SessionConfig,
-    acceptance_window,
     accepted_count_interval,
     epr_bb84_equivalence_check,
     run_bb84_session,
@@ -39,18 +38,24 @@ def all_singlet_attack(n):
     return CoherentAttack(t)
 
 
+def window(eps, c=1.0):
+    """A window-mode config; ``accepted_count_interval`` reads only eps and c."""
+    return SessionConfig(1, 1, eps, window_coeff=c, threshold_mode="window")
+
+
 class TestAcceptanceWindow:
     def test_documented_examples(self):
-        assert acceptance_window(0.02, 1.0, 10000) == (196, 204)
-        assert acceptance_window(0.1, 1.0, 100) == (9, 11)
+        assert accepted_count_interval(window(0.02), 10000) == (196, 204)
+        assert accepted_count_interval(window(0.1), 100) == (9, 11)
 
     def test_zero_error_limit(self):
-        assert acceptance_window(0.0, 1.0, 500) == (0, 0)
+        assert accepted_count_interval(window(0.0), 500) == (0, 0)
 
     def test_vacuous_window_rejected(self):
         # 0.291..0.309 contains no integer once scaled by m=10
-        with pytest.raises(ConfigError):
-            acceptance_window(0.03, 1.0, 10)
+        with pytest.raises(ConfigError, match=r"acceptance window for eps=0.03, c=1.0, "
+                                              r"m=10 rounds empty"):
+            accepted_count_interval(window(0.03), 10)
 
     def test_two_epsilon_interval(self):
         cfg = SessionConfig(1000, 100, 0.02, threshold_mode="two_epsilon")
@@ -60,8 +65,28 @@ class TestAcceptanceWindow:
 
     def test_two_epsilon_rejects_zero_rate(self):
         cfg = SessionConfig(1000, 100, 0.0, threshold_mode="two_epsilon")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"threshold 2\*eps rounds to zero tolerated "
+                                              r"errors; use window mode"):
             accepted_count_interval(cfg, 100)
+
+    @settings(max_examples=300)
+    @given(st.floats(0.0, 0.99), st.floats(0.01, 100.0), st.integers(1, 2000),
+           st.sampled_from(["window", "two_epsilon"]))
+    def test_interval_is_the_defined_count_set(self, eps, c, m, mode):
+        """The interval holds exactly the integer counts its mode accepts."""
+        cfg = SessionConfig(m, m, eps, window_coeff=c, threshold_mode=mode)
+        k = np.arange(int((eps + c * eps * eps) * m) + m + 2)
+        if mode == "window":
+            accepted = k[((eps - c * eps * eps) * m - 1e-9 <= k)
+                         & (k <= (eps + c * eps * eps) * m + 1e-9)].tolist()
+        else:
+            accepted = k[(k <= m) & (k < 2.0 * eps * m - 1e-9)].tolist()
+        if not accepted:
+            with pytest.raises(ConfigError):
+                accepted_count_interval(cfg, m)
+            return
+        lo, hi = accepted_count_interval(cfg, m)
+        assert list(range(lo, hi + 1)) == accepted
 
 
 class TestSelectTestSet:
@@ -204,8 +229,7 @@ class TestEprSession:
             written.append(axes)
             new += tercile_counts(tr.outcome_a != tr.outcome_b, axes)
             rng = stream(531, s)
-            labels, _ = substitute_pairs(chan.sample_labels(n, rng), atk.fraction,
-                                         atk.label_weights, rng)
+            labels, _ = substitute_pairs(chan.sample_labels(n, rng), atk, rng)
             axes, a, b = whole_array_outcomes(labels, rng)
             old += tercile_counts(a != b, axes)
         total = sessions * n
@@ -367,6 +391,51 @@ class TestBb84Session:
         assert diag_tested == rect_tested
         # all positions in the test really carry matching bases
         assert np.all(tr.basis_a[tr.in_test] == tr.basis_b[tr.in_test])
+
+
+@st.composite
+def contract_sessions(draw):
+    """A small session of one kind: plain or substitute EPR, intercept-resend
+    BB84, or a random coherent attack on at most 4 pairs."""
+    kind = draw(st.sampled_from(["epr", "substitute", "bb84", "coherent"]))
+    # eps 0.4, c 2: a window that starts at 1 error and is nonempty for m >= 2
+    window = draw(st.booleans())
+    n = draw(st.integers(1 + window, 4) if kind == "coherent"
+             else st.integers(40, 200) if kind == "bb84" else st.integers(1 + window, 200))
+    m = draw(st.integers(1 + window, n))
+    cfg = (SessionConfig(n, m, 0.4, window_coeff=2.0, threshold_mode="window") if window
+           else SessionConfig(n, m, draw(st.sampled_from([0.05, 0.2]))))
+    rng = stream(540, draw(st.integers(0, 2**32 - 1)))
+    chan = ChannelModel(draw(st.sampled_from([1.0, 0.9, 0.6])))
+    if kind == "bb84":
+        return cfg, run_bb84_session(cfg, chan, InterceptResend(), rng)
+    if kind == "coherent":
+        amps = rng.normal(size=(4,) * n + (2, 2)) @ np.array([1.0, 1j])
+        attack = CoherentAttack(amps / np.linalg.norm(amps))
+    else:
+        attack = SubstituteAttack(0.3) if kind == "substitute" else None
+    return cfg, run_epr_session(cfg, chan, attack, rng)
+
+
+class TestTranscriptContract:
+    @settings(max_examples=120)
+    @given(contract_sessions())
+    def test_test_errors_keys_and_verdict(self, session):
+        """Tests are sifted, keys are the sifted untested positions, errors are
+        parallel outcomes (EPR) or unequal bits (BB84), and the verdict is the
+        error count's membership in the accepted interval."""
+        cfg, tr = session
+        epr = tr.basis_a is None
+        assert not (tr.in_test & ~tr.sifted).any()
+        assert tr.test_size == tr.in_test.sum()
+        keep = tr.sifted & ~tr.in_test
+        key_b = 1 - tr.outcome_b if epr else tr.outcome_b
+        assert np.array_equal(tr.sifted_key_a, tr.outcome_a[keep])
+        assert np.array_equal(tr.sifted_key_b, key_b[keep])
+        erred = tr.outcome_a == tr.outcome_b if epr else tr.outcome_a != tr.outcome_b
+        assert tr.observed_error_count == erred[tr.in_test].sum()
+        lo, hi = accepted_count_interval(cfg, tr.test_size)
+        assert tr.verdict == ("accepted" if lo <= tr.observed_error_count <= hi else "rejected")
 
 
 class TestTranscriptSerialization:
