@@ -8,6 +8,10 @@ subtracting the leakage:
 
     final length = floor(n_raw * max(0, 1 + k' eps log2 eps)) - leaked.
 
+The length is computed at once; the hash runs on the first read of the
+final keys, so a caller that reads only lengths, as ``qkdlab simulate``
+does, never hashes.
+
 Reconciliation is simulated on the positions where the keys disagree:
 each pass draws only where its shuffle sends them, which has the same
 law as drawing the whole shuffle.
@@ -16,7 +20,7 @@ law as drawing the whole shuffle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -144,18 +148,47 @@ def final_key_length(n_raw: int, eps: float, leaked_bits: int, kprime: float = 1
     return max(0, math.floor(n_raw * rate) - leaked_bits)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class DistillationResult:
     """Final keys and accounting from one reconciliation + amplification run.
 
-    The final keys are packed, most significant bit first; equal keys are
-    one shared object.
+    :func:`distill_key` does not hash.  It keeps the hash's inputs: the
+    packed reconciled keys (Bob's is Alice's object when reconciliation
+    left them equal), the sifted length and the hash seed.  The first read
+    of ``key_a``, ``key_b`` or ``keys_equal`` hashes both keys, caches the
+    final keys and drops those inputs; a result with ``final_length == 0``
+    holds none and reads ``b""``.  The final keys are packed, most
+    significant bit first; equal keys are one shared object.
     """
 
-    key_a: bytes
-    key_b: bytes
     final_length: int
     leaked_bits: int
+    _reconciled: tuple[bytes, bytes] | None = field(default=None, repr=False)
+    _sifted_length: int = field(default=0, repr=False)
+    _hash_seed: int = field(default=0, repr=False)
+    _final: tuple[bytes, bytes] = field(default=(b"", b""), init=False, repr=False)
+
+    def _final_keys(self) -> tuple[bytes, bytes]:
+        if self._reconciled is not None:
+            packed_a, packed_b = self._reconciled
+
+            def amplify(packed: bytes) -> bytes:
+                bits = np.unpackbits(np.frombuffer(packed, np.uint8), count=self._sifted_length)
+                final = privacy_amplify(bits, self.final_length, self._hash_seed)
+                return np.packbits(final).tobytes()
+
+            final_a = amplify(packed_a)
+            final_b = final_a if packed_b is packed_a else amplify(packed_b)
+            self._final, self._reconciled = (final_a, final_b), None
+        return self._final
+
+    @property
+    def key_a(self) -> bytes:
+        return self._final_keys()[0]
+
+    @property
+    def key_b(self) -> bytes:
+        return self._final_keys()[1]
 
     @property
     def keys_equal(self) -> bool:
@@ -169,23 +202,19 @@ def distill_key(
     rng: np.random.Generator,
     kprime: float = 10.0,
 ) -> DistillationResult:
-    """Reconcile, measure leakage, and privacy-amplify a sifted key pair.
+    """Reconcile, measure leakage, and draw the seed of the privacy-amplification hash.
 
-    Both keys go through the same Toeplitz map, so when reconciliation
-    leaves Bob's key equal to Alice's it is hashed once and both final
-    keys are that one hash.
+    The result hashes on the first read of its keys (see
+    :class:`DistillationResult`).  Both keys go through the same Toeplitz
+    map, so when reconciliation leaves Bob's key equal to Alice's it is
+    hashed once and both final keys are that one hash.
     """
     a = np.asarray(key_a, dtype=np.uint8)
     corrected, leaked = reconcile(a, key_b, rng, qber_hint=qber_estimate)
     n_final = final_key_length(a.size, qber_estimate, leaked, kprime)
     hash_seed = int(rng.integers(0, 2**63))
-    final_a = np.packbits(privacy_amplify(a, n_final, hash_seed)).tobytes()
-    final_b = final_a
-    if not np.array_equal(a, corrected):
-        final_b = np.packbits(privacy_amplify(corrected, n_final, hash_seed)).tobytes()
-    return DistillationResult(
-        key_a=final_a,
-        key_b=final_b,
-        final_length=n_final,
-        leaked_bits=leaked,
-    )
+    if n_final == 0:
+        return DistillationResult(n_final, leaked)
+    packed_a = np.packbits(a).tobytes()
+    packed_b = packed_a if np.array_equal(a, corrected) else np.packbits(corrected).tobytes()
+    return DistillationResult(n_final, leaked, (packed_a, packed_b), a.size, hash_seed)

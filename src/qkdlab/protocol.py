@@ -96,10 +96,10 @@ class SessionConfig:
 def accepted_count_interval(config: SessionConfig, m: int) -> tuple[int, int]:
     """The accepted error-count interval for a test of ``m`` >= 1 positions.
 
-    ``window`` mode accepts [(eps - c eps^2) m, (eps + c eps^2) m], rounded
-    inward to integers (ceil below, floor above) and clamped at 0;
-    ``two_epsilon`` mode accepts the counts 0..m below 2 eps m.  An interval
-    that rounds empty is a configuration error.
+    ``window`` mode accepts the counts 0..m in [(eps - c eps^2) m,
+    (eps + c eps^2) m], rounded inward to integers (ceil below, floor
+    above); ``two_epsilon`` mode accepts the counts 0..m below 2 eps m.  An
+    interval that rounds empty is a configuration error.
     """
     eps, c = config.expected_error, config.window_coeff
     if config.threshold_mode == "window":
@@ -109,7 +109,7 @@ def accepted_count_interval(config: SessionConfig, m: int) -> tuple[int, int]:
             raise ConfigError(
                 f"acceptance window for eps={eps}, c={c}, m={m} rounds empty"
             )
-        return lo, hi
+        return lo, min(hi, m)
     hi = math.ceil(2.0 * eps * m - 1e-9) - 1
     if hi < 0:
         raise ConfigError(

@@ -655,6 +655,17 @@ class TestSimulateOutputs:
         assert row["verdict"] == "accepted"
         assert float(row["eve_holevo_bits"]) == pytest.approx(0.0, abs=1e-9)
 
+    def test_coherent_attack_with_a_window_wider_than_m(self, tmp_path, capsys):
+        # the window [-2, 6] clamps to 0..2, a valid test plan for two pairs
+        atk = write_attack_file(tmp_path / "atk.txt", 4)
+        code, out, err = run_cli(
+            ["simulate", "--n", "4", "--m", "2", "--epsilon", "0.5",
+             "--threshold-mode", "window", "--c", "10", "--attack", "coherent",
+             "--attack-file", atk], capsys)
+        assert code == 0, err
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert (row["verdict"], row["error_count"]) == ("accepted", "0")
+
 
 class TestBounds:
     def test_single_point_payload(self, capsys):
@@ -791,7 +802,13 @@ def readme_shell_steps():
 
 class TestDocumentation:
     def test_readme_commands_run_as_written(self, tmp_path, monkeypatch, capsys):
+        import qkdlab.postprocess
+
         monkeypatch.chdir(tmp_path)
+        # simulate reads only key lengths, so its distilled trials never hash
+        hashes, amplify = [], qkdlab.postprocess.privacy_amplify
+        monkeypatch.setattr("qkdlab.postprocess.privacy_amplify",
+                            lambda *args: hashes.append(args) or amplify(*args))
         ran, json_outputs = [], 0
         for step in readme_shell_steps():
             if step[0] == "file":
@@ -809,6 +826,14 @@ class TestDocumentation:
                 json_outputs += len(docs)
         assert sorted(set(ran)) == ["attack-eval", "bounds", "equivalence", "simulate"]
         assert json_outputs == 4  # bounds, attack-eval and equivalence print; simulate writes
+        rows = csv.DictReader(io.StringIO(Path("runs.csv").read_text()))
+        assert any(int(r["final_len"]) > 0 for r in rows)
+        assert hashes == []
+        assert {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
+                for name in ("runs.csv", "summary.json")} == {
+            "runs.csv": "539f221944d98bf9bbec6402a377ebed3cb939b11a189de8465013feed7cb4c4",
+            "summary.json": "53d16399f7557958f4be6d871354e6794a1a9375a72f11c06257fc42dc78edf9",
+        }
 
     def test_cli_import_does_not_load_scipy(self):
         probe = "import sys, qkdlab.cli; sys.exit('scipy' in sys.modules)"

@@ -1,5 +1,6 @@
 """Tests for reconciliation, privacy amplification, and key distillation."""
 
+import hashlib
 import math
 import zlib
 
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qkdlab.channel import ChannelModel
+from qkdlab.cli import simulate_trial
 from qkdlab.errors import RegimeError
 from qkdlab.postprocess import (
     MAX_PASSES,
@@ -16,6 +19,7 @@ from qkdlab.postprocess import (
     privacy_amplify,
     reconcile,
 )
+from qkdlab.protocol import SessionConfig
 from qkdlab.rng import stream
 
 
@@ -271,11 +275,12 @@ class TestDistillKey:
         assert res.final_length == final_key_length(4096, 0.02, res.leaked_bits, 5.0)
         assert len(res.key_a) == math.ceil(res.final_length / 8)
 
-    def test_exhausted_budget_gives_empty_key(self):
+    def test_exhausted_budget_gives_empty_key(self, monkeypatch):
+        calls = self.count_amplify(monkeypatch)
         a, b = noisy_pair(64, 0.02, stream(614))
         res = distill_key(a, b, 0.02, stream(615), kprime=10.0)
-        assert res.final_length == 0
-        assert res.key_a == b"" and res.keys_equal
+        assert res.final_length == 0 and res._reconciled is None  # nothing kept to hash
+        assert res.key_a == b"" and res.keys_equal and len(calls) == 0
 
     @staticmethod
     def count_amplify(monkeypatch):
@@ -288,6 +293,15 @@ class TestDistillKey:
         monkeypatch.setattr("qkdlab.postprocess.privacy_amplify", counting)
         return calls
 
+    @staticmethod
+    def unequal_pair():
+        """Two flips under a zero estimate: the whole-key block has even
+        parity, so reconciliation leaves both errors in place."""
+        a = stream(616).integers(0, 2, size=256, dtype=np.uint8)
+        b = a.copy()
+        b[[3, 200]] ^= 1
+        return a, b
+
     def test_equal_keys_hashed_once(self, monkeypatch):
         calls = self.count_amplify(monkeypatch)
         a, b = noisy_pair(4096, 0.02, stream(612))
@@ -297,19 +311,47 @@ class TestDistillKey:
         assert res.key_b is res.key_a and isinstance(res.key_a, bytes)
 
     def test_unequal_keys_hash_bobs_key(self, monkeypatch):
-        # two flips under a zero estimate: the whole-key block has even
-        # parity, so reconciliation leaves both errors in place
-        a = stream(616).integers(0, 2, size=256, dtype=np.uint8)
-        b = a.copy()
-        b[[3, 200]] ^= 1
+        a, b = self.unequal_pair()
         calls = self.count_amplify(monkeypatch)
         res = distill_key(a, b, 0.0, stream(617))
         replay = stream(617)
         corrected, leaked = reconcile(a, b, replay, qber_hint=0.0)
         hash_seed = int(replay.integers(0, 2**63))
         assert np.array_equal(corrected, b) and leaked == res.leaked_bits
-        assert len(calls) == 2
+        assert len(calls) == 0
         assert not res.keys_equal and res.final_length > 0
+        assert len(calls) == 2
         packed = [np.packbits(privacy_amplify(k, res.final_length, hash_seed)).tobytes()
                   for k in (a, corrected)]
         assert [res.key_a, res.key_b] == packed
+
+    @pytest.mark.parametrize("equal, read, hashes", [
+        (True, "key_a", 1), (True, "key_b", 1), (True, "keys_equal", 1),
+        (False, "key_a", 2), (False, "key_b", 2), (False, "keys_equal", 2),
+    ])
+    def test_keys_are_hashed_on_first_read(self, monkeypatch, equal, read, hashes):
+        """distill_key hashes nothing; the first read of either key hashes both
+        and drops the packed inputs; later reads hash nothing."""
+        a, b = self.unequal_pair()
+        if equal:
+            b = a.copy()
+        calls = self.count_amplify(monkeypatch)
+        res = distill_key(a, b, 0.0, stream(617))
+        assert res.final_length > 0 and len(calls) == 0
+        packed_a, packed_b = res._reconciled
+        assert (packed_b is packed_a) == equal
+        getattr(res, read)
+        assert len(calls) == hashes and res._reconciled is None
+        assert (res.key_b is res.key_a) == equal and res.keys_equal == equal
+        assert len(calls) == hashes
+
+    def test_readme_trial_keys_pinned(self):
+        """README trial 0: the lazily hashed key is the byte string the eager
+        hash gave."""
+        _, res = simulate_trial("epr", SessionConfig(100_000, 10_000, 0.02),
+                                ChannelModel.from_epsilon(0.02), None,
+                                seed=7, trial=0, kprime=5.0)
+        assert (res.final_length, res.leaked_bits) == (20528, 15877)
+        assert res.key_b is res.key_a
+        assert hashlib.sha256(res.key_a).hexdigest() == (
+            "fd9a6229260923c6e821b714ce7ae7022ecad4d4152351faebab975eef4001c0")

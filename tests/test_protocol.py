@@ -77,7 +77,7 @@ class TestAcceptanceWindow:
         cfg = SessionConfig(m, m, eps, window_coeff=c, threshold_mode=mode)
         k = np.arange(int((eps + c * eps * eps) * m) + m + 2)
         if mode == "window":
-            accepted = k[((eps - c * eps * eps) * m - 1e-9 <= k)
+            accepted = k[(k <= m) & ((eps - c * eps * eps) * m - 1e-9 <= k)
                          & (k <= (eps + c * eps * eps) * m + 1e-9)].tolist()
         else:
             accepted = k[(k <= m) & (k < 2.0 * eps * m - 1e-9)].tolist()
