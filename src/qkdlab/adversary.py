@@ -44,6 +44,7 @@ default ``two_epsilon`` test with probability tending to 1 as N grows (see
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,8 +213,9 @@ class CoherentAttack:
 class TestPlan:
     """Which pairs get compared, along which axes, and what error counts pass.
 
-    ``axes`` is an (m, 3) array whose row i is the common axis of pair
-    ``indices[i]``; rows need not be unit vectors, as the scoring
+    ``indices`` is stored as a tuple of ints, from any sequence of
+    integers.  ``axes`` is an (m, 3) array whose row i is the common axis
+    of pair ``indices[i]``; rows need not be unit vectors, as the scoring
     normalizes each one when it rotates its pair into that axis.
     """
 
@@ -225,10 +227,15 @@ class TestPlan:
     accept_hi: int
 
     def __post_init__(self) -> None:
-        if np.shape(self.axes) != (len(self.indices), 3):
+        indices = tuple(operator.index(i) for i in self.indices)
+        object.__setattr__(self, "indices", indices)
+        if np.shape(self.axes) != (len(indices), 3):
             raise ConfigError("one axis per tested pair is required")
-        _check_indices(self.indices)
-        _check_accept(self.accept_lo, self.accept_hi, len(self.indices))
+        if len(set(indices)) != len(indices):
+            raise ConfigError(f"test indices {indices} must be distinct")
+        if indices and min(indices) < 0:
+            raise ConfigError(f"test indices {indices} must be nonnegative")
+        _check_accept(self.accept_lo, self.accept_hi, len(indices))
 
 
 def _check_accept(lo: int, hi: int, m: int) -> None:
@@ -236,31 +243,10 @@ def _check_accept(lo: int, hi: int, m: int) -> None:
         raise ConfigError(f"acceptance interval [{lo}, {hi}] is not a subrange of 0..{m}")
 
 
-def _check_indices(indices: tuple[int, ...], n_pairs: int | None = None) -> None:
-    """Tested pairs are distinct and, given ``n_pairs``, inside 0..n_pairs-1."""
-    if len(set(indices)) != len(indices):
-        raise ConfigError(f"test indices {tuple(indices)} must be distinct")
-    if indices and min(indices) < 0:
-        raise ConfigError(f"test indices {tuple(indices)} must be nonnegative")
-    if indices and n_pairs is not None and max(indices) >= n_pairs:
-        raise ConfigError(
-            f"test indices {tuple(indices)} address pairs outside 0..{n_pairs - 1}"
-        )
-
-
 # Whether a rotated pair index (2a + b for outcomes a, b) counts as parallel.
 _PARALLEL = np.array([1, 0, 0, 1])
 # Whether a Bell label is a non-singlet slot.
 _NONSINGLET = np.array([0, 1, 1, 1])
-
-
-def _tested_matrix(attack: CoherentAttack, indices: tuple[int, ...]) -> np.ndarray:
-    """The attack state as a (4^m, rest) matrix whose row index runs over the
-    tested pairs (first pair most significant) and whose column index runs
-    over the untested pairs, in order, and then the ancilla."""
-    _check_indices(indices, attack.n_pairs)
-    arr = np.moveaxis(attack.amplitudes, list(indices), list(range(len(indices))))
-    return arr.reshape(4 ** len(indices), -1)
 
 
 def _slot_counts(table: np.ndarray, m: int) -> np.ndarray:
@@ -271,23 +257,34 @@ def _slot_counts(table: np.ndarray, m: int) -> np.ndarray:
     return counts
 
 
+def _rotated(attack: CoherentAttack, plan: TestPlan) -> tuple[np.ndarray, np.ndarray]:
+    """The attack state as a (4^m, rest) matrix with each tested pair rotated
+    into its plan axis, and each row's number of parallel outcomes.  The row
+    index runs over the tested pairs' outcomes (first pair most significant)
+    and the column index over the untested pairs, in order, and then the
+    ancilla."""
+    m = len(plan.indices)
+    if plan.indices and max(plan.indices) >= attack.n_pairs:
+        raise ConfigError(
+            f"test indices {plan.indices} address pairs outside 0..{attack.n_pairs - 1}"
+        )
+    arr = np.moveaxis(attack.amplitudes, plan.indices, range(m)).reshape(4**m, -1)
+    return rotate_pairs(arr, plan.axes), _slot_counts(_PARALLEL, m)
+
+
 def _bell_weights(attack: CoherentAttack) -> np.ndarray:
     """Weight of each Bell word: |Bell amplitude|^2 summed over the ancilla."""
     return (np.abs(attack.amplitudes) ** 2).sum(axis=-1)
 
 
-def error_count_distribution(
-    attack: CoherentAttack, indices: tuple[int, ...], axes: np.ndarray
-) -> np.ndarray:
-    """Exact law of the number of parallel outcomes when the pairs
-    ``indices`` are tested along ``axes``: entry k is P(k errors)."""
-    if np.shape(axes) != (len(indices), 3):
-        raise ConfigError("one axis per tested pair is required")
-    m = len(indices)
+def error_count_distribution(attack: CoherentAttack, plan: TestPlan) -> np.ndarray:
+    """Exact law of the number of parallel outcomes when the plan's pairs
+    are tested along its axes: entry k is P(k errors)."""
+    rows, counts = _rotated(attack, plan)
     # squared moduli summed along each row, read as (real, imaginary) float pairs
-    parts = rotate_pairs(_tested_matrix(attack, tuple(indices)), axes).view(np.float64)
+    parts = rows.view(np.float64)
     probs = np.einsum("rc,rc->r", parts, parts)
-    return probs @ (_slot_counts(_PARALLEL, m)[:, None] == np.arange(m + 1)).astype(float)
+    return probs @ (counts[:, None] == np.arange(len(plan.indices) + 1)).astype(float)
 
 
 def axis_averaged_passing_probability(
@@ -296,11 +293,10 @@ def axis_averaged_passing_probability(
     rng: np.random.Generator,
     n_samples: int = 1000,
     accept: tuple[int, int] = (0, 0),
-    indices: tuple[int, ...] | None = None,
 ) -> tuple[float, float]:
     """Passing probability averaged exactly over uniform axes and sampled
     over test subsets: each sample draws a uniformly random m-subset S of
-    tested pairs, or takes ``indices``.
+    tested pairs.
 
     Averaged over its axis, a pair's parallel projector is
     (I + sigma.sigma/3)/2: 0 on the singlet, 2/3 on each triplet.  So S
@@ -312,10 +308,6 @@ def axis_averaged_passing_probability(
         raise ConfigError(f"test size {m} outside 1..{attack.n_pairs}")
     if n_samples < 1:
         raise ConfigError(f"axis samples must be positive, got {n_samples}")
-    if indices is not None:
-        if len(indices) != m:
-            raise ConfigError(f"{len(indices)} test indices given for test size {m}")
-        _check_indices(indices, attack.n_pairs)
     lo, hi = accept
     _check_accept(lo, hi, m)
     weights = _bell_weights(attack)
@@ -325,8 +317,7 @@ def axis_averaged_passing_probability(
     by_subset: dict[tuple[int, ...], float] = {}
     values = np.empty(n_samples)
     for s in range(n_samples):
-        pairs = indices if indices is not None else rng.choice(attack.n_pairs, m, replace=False)
-        subset = tuple(sorted(int(i) for i in pairs))
+        subset = tuple(sorted(int(i) for i in rng.choice(attack.n_pairs, m, replace=False)))
         if subset not in by_subset:
             untested = tuple(i for i in range(attack.n_pairs) if i not in subset)
             by_subset[subset] = float(weights.sum(axis=untested).reshape(-1) @ passes)
@@ -344,8 +335,7 @@ def conditional_ancilla_state(attack: CoherentAttack, plan: TestPlan) -> Density
     the passing probability vanishes (there is nothing to condition on).
     """
     anc = attack.ancilla_dim
-    x = rotate_pairs(_tested_matrix(attack, plan.indices), plan.axes)
-    counts = _slot_counts(_PARALLEL, len(plan.indices))
+    x, counts = _rotated(attack, plan)
     accum = np.zeros((anc, anc), dtype=complex)
     total = 0.0
     for errors in range(plan.accept_lo, plan.accept_hi + 1):

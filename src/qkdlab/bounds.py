@@ -74,6 +74,8 @@ def atypical_count_exact(n_pairs: int, threshold: int) -> int:
 def _check_regime(n_pairs: int, eps: float) -> None:
     if n_pairs < 1:
         raise ConfigError(f"N must be positive, got {n_pairs}")
+    if math.isnan(eps):
+        raise ConfigError("epsilon must be a number, got nan")
     if not 0.0 < eps < 0.25:
         raise RegimeError(f"epsilon {eps} outside the validity regime (0, 1/4)")
     if n_pairs * eps < 0.5 - 1e-12:

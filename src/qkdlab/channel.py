@@ -23,7 +23,8 @@ full quantum measurement statistics, which is what lets sessions with
 10**5 pairs run as vectorized classical sampling.  A singlet's outcomes
 read no axis, so a session passes only its non-singlet pairs to
 :func:`sample_common_axis_outcomes` and draws the singlets' axes only
-for a written transcript.
+for a written transcript.  On a single photon the labels act as Paulis
+(:func:`pauli_flips`).
 """
 
 from __future__ import annotations
@@ -65,6 +66,17 @@ def antiparallel_prob_given_label(labels: np.ndarray, axes: np.ndarray) -> np.nd
     p = np.take(np.asarray(axes, dtype=float), 3 * np.arange(comp.shape[0]) + comp) ** 2
     p[comp < 0] = 1.0
     return p
+
+
+def pauli_flips(labels: np.ndarray, diag_basis: np.ndarray) -> np.ndarray:
+    """Whether each Bell label flips a photon prepared in the given basis.
+
+    Labels act on the flying photon as 0 -> identity, 1 -> Z, 2 -> Y,
+    3 -> X: a Pauli flips the eigenstates of every axis but its own, so
+    Z flips diagonal eigenstates, X flips rectilinear ones, Y both.
+    """
+    own = _LABEL_AXIS[labels]
+    return (own >= 0) & (own != np.where(diag_basis, 0, 2))  # diagonal: x, else z
 
 
 def sample_common_axis_outcomes(

@@ -183,7 +183,7 @@ def _parse_attack(spec, attack_file):
     if spec == "none":
         return None
     if kind == "intercept_resend":
-        return InterceptResend(policy=arg or "random")
+        return InterceptResend(policy=arg if sep else "random")
     if kind == "substitute":
         if not sep:
             raise ConfigError("substitute attack needs a fraction, e.g. substitute:0.02")
@@ -278,14 +278,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     check_kprime(args.kprime)
     chan, eps = _resolve_channel(args.fidelity, args.epsilon)
     attack = _parse_attack(args.attack, args.attack_file)
-    threshold_mode = args.threshold_mode or ("two_epsilon" if eps > 0.0 else "window")
     config = SessionConfig(
         n_pairs=args.n,
         test_size=args.m,
         expected_error=eps,
         window_coeff=args.c,
         omega=args.omega,
-        threshold_mode=threshold_mode,
+        threshold_mode=args.threshold_mode,
     )
 
     rows = []  # one tuple per trial, in CSV_COLUMNS order
@@ -320,7 +319,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "fidelity": chan.fidelity,
             "epsilon_expected": eps,
             "omega": args.omega,
-            "threshold_mode": threshold_mode,
+            "threshold_mode": config.threshold_mode,
             "attack": args.attack,
             "seed": args.seed,
             "kprime": args.kprime,
@@ -393,7 +392,7 @@ def cmd_attack_eval(args: argparse.Namespace) -> int:
         accept=(args.accept_lo, args.accept_hi),
     )
     plan_rng = stream(args.seed, 1)
-    indices = tuple(int(i) for i in select_test_set(attack.n_pairs, args.m, plan_rng))
+    indices = select_test_set(attack.n_pairs, args.m, plan_rng)
     plan = TestPlan(indices, random_axes(args.m, plan_rng), args.accept_lo, args.accept_hi)
     holevo = holevo_on_pass(attack, plan)
     payload = {

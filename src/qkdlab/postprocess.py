@@ -9,8 +9,8 @@ subtracting the leakage:
     final length = floor(n_raw * max(0, 1 + k' eps log2 eps)) - leaked.
 
 The length is computed at once; the hash runs on the first read of the
-final keys, so a caller that reads only lengths, as ``qkdlab simulate``
-does, never hashes.
+final keys, from the keys packed at distillation, so a caller that reads
+only lengths, as ``qkdlab simulate`` does, never hashes.
 
 Reconciliation is simulated on the positions where the keys disagree:
 each pass draws only where its shuffle sends them, which has the same
@@ -20,7 +20,9 @@ law as drawing the whole shuffle.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +36,7 @@ def reconcile(
     key_a,
     key_b,
     rng: np.random.Generator,
-    qber_hint: float | None = None,
+    qber_hint: float,
 ) -> tuple[np.ndarray, int]:
     """Correct ``key_b`` toward ``key_a`` by shuffled block-parity bisection.
 
@@ -42,8 +44,8 @@ def reconcile(
     and binary-searches every odd block down to a single differing bit,
     which is flipped (so disagreement never increases).  Every compared
     parity counts one leaked bit.  The first block size is ceil(0.73/q)
-    for the hinted error rate q (0.05 without a hint), at least 2 and at
-    most the key length; a hint of 0 makes the first block the whole key.
+    for the hinted error rate q, at least 2 and at most the key length; a
+    hint of 0 makes the first block the whole key.
     The block size doubles between passes up to the larger of the first
     size and n // 16.  The loop stops after four consecutive passes find
     no mismatched block, or after MAX_PASSES passes.
@@ -65,7 +67,7 @@ def reconcile(
     n = a.size
     if n == 0:
         return b.copy(), 0
-    q = 0.05 if qber_hint is None else max(float(qber_hint), 0.0)
+    q = max(float(qber_hint), 0.0)
     block = n if q <= 0.0 else min(n, max(2, math.ceil(min(0.73 / q, n))))
     block_cap = max(block, n // 16)
     wrong = np.flatnonzero(a != b)  # sorted positions of the disagreements
@@ -152,43 +154,32 @@ def final_key_length(n_raw: int, eps: float, leaked_bits: int, kprime: float = 1
 class DistillationResult:
     """Final keys and accounting from one reconciliation + amplification run.
 
-    :func:`distill_key` does not hash.  It keeps the hash's inputs: the
-    packed reconciled keys (Bob's is Alice's object when reconciliation
-    left them equal), the sifted length and the hash seed.  The first read
-    of ``key_a``, ``key_b`` or ``keys_equal`` hashes both keys, caches the
-    final keys and drops those inputs; a result with ``final_length == 0``
-    holds none and reads ``b""``.  The final keys are packed, most
+    :func:`distill_key` does not hash.  ``_amplify`` hashes both keys and
+    returns the final keys; the first read of ``key_a``, ``key_b`` or
+    ``keys_equal`` calls it once, caches the final keys and drops it, and
+    with it the packed keys it holds.  A result with ``final_length == 0``
+    holds no function and reads ``b""``.  The final keys are packed, most
     significant bit first; equal keys are one shared object.
     """
 
     final_length: int
     leaked_bits: int
-    _reconciled: tuple[bytes, bytes] | None = field(default=None, repr=False)
-    _sifted_length: int = field(default=0, repr=False)
-    _hash_seed: int = field(default=0, repr=False)
-    _final: tuple[bytes, bytes] = field(default=(b"", b""), init=False, repr=False)
+    _amplify: Callable[[], tuple[bytes, bytes]] | None = field(default=None, repr=False)
 
-    def _final_keys(self) -> tuple[bytes, bytes]:
-        if self._reconciled is not None:
-            packed_a, packed_b = self._reconciled
-
-            def amplify(packed: bytes) -> bytes:
-                bits = np.unpackbits(np.frombuffer(packed, np.uint8), count=self._sifted_length)
-                final = privacy_amplify(bits, self.final_length, self._hash_seed)
-                return np.packbits(final).tobytes()
-
-            final_a = amplify(packed_a)
-            final_b = final_a if packed_b is packed_a else amplify(packed_b)
-            self._final, self._reconciled = (final_a, final_b), None
-        return self._final
+    @cached_property
+    def _final(self) -> tuple[bytes, bytes]:
+        if self._amplify is None:
+            return b"", b""
+        final, self._amplify = self._amplify(), None
+        return final
 
     @property
     def key_a(self) -> bytes:
-        return self._final_keys()[0]
+        return self._final[0]
 
     @property
     def key_b(self) -> bytes:
-        return self._final_keys()[1]
+        return self._final[1]
 
     @property
     def keys_equal(self) -> bool:
@@ -205,16 +196,26 @@ def distill_key(
     """Reconcile, measure leakage, and draw the seed of the privacy-amplification hash.
 
     The result hashes on the first read of its keys (see
-    :class:`DistillationResult`).  Both keys go through the same Toeplitz
-    map, so when reconciliation leaves Bob's key equal to Alice's it is
-    hashed once and both final keys are that one hash.
+    :class:`DistillationResult`), from the keys packed here.  Both keys go
+    through the same Toeplitz map, so when reconciliation leaves Bob's key
+    equal to Alice's it is hashed once and both final keys are that one hash.
     """
     a = np.asarray(key_a, dtype=np.uint8)
     corrected, leaked = reconcile(a, key_b, rng, qber_hint=qber_estimate)
-    n_final = final_key_length(a.size, qber_estimate, leaked, kprime)
+    n_raw = a.size
+    n_final = final_key_length(n_raw, qber_estimate, leaked, kprime)
     hash_seed = int(rng.integers(0, 2**63))
     if n_final == 0:
         return DistillationResult(n_final, leaked)
     packed_a = np.packbits(a).tobytes()
     packed_b = packed_a if np.array_equal(a, corrected) else np.packbits(corrected).tobytes()
-    return DistillationResult(n_final, leaked, (packed_a, packed_b), a.size, hash_seed)
+
+    def amplify(packed: bytes) -> bytes:
+        bits = np.unpackbits(np.frombuffer(packed, np.uint8), count=n_raw)
+        return np.packbits(privacy_amplify(bits, n_final, hash_seed)).tobytes()
+
+    def amplify_both() -> tuple[bytes, bytes]:
+        final_a = amplify(packed_a)
+        return final_a, final_a if packed_b is packed_a else amplify(packed_b)
+
+    return DistillationResult(n_final, leaked, amplify_both)

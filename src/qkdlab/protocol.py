@@ -34,14 +34,15 @@ measured exactly instead, one pair at a time with
 :func:`qkdlab.qstate.measure_pair`.  A singlet comes out antiparallel
 along every axis, so without a coherent attack only the non-singlet
 pairs' axes are drawn with the session; the singlets' axes are drawn,
-from a stream of their own, only when the transcript's ``axes`` are read,
-as :meth:`Transcript.write_jsonl` does.
+from a stream of their own, by a function the transcript calls on the
+first read of its ``axes``, as :meth:`Transcript.write_jsonl` does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -72,7 +73,7 @@ class SessionConfig:
     expected_error: float
     window_coeff: float = 1.0
     omega: float = 0.5
-    threshold_mode: str = "two_epsilon"
+    threshold_mode: str | None = None  # None: two_epsilon if expected_error > 0, else window
 
     def __post_init__(self) -> None:
         if self.n_pairs < 1:
@@ -83,6 +84,9 @@ class SessionConfig:
             )
         if not 0.0 <= self.expected_error < 1.0:
             raise ConfigError(f"expected_error {self.expected_error} outside [0, 1)")
+        if self.threshold_mode is None:
+            object.__setattr__(self, "threshold_mode",
+                               "two_epsilon" if self.expected_error > 0.0 else "window")
         if not 0.0 < self.window_coeff < math.inf:
             raise ConfigError(
                 f"window_coeff must be positive and finite, got {self.window_coeff}"
@@ -140,8 +144,9 @@ class Transcript:
     protocol ``axes`` holds the common axis of each pair and the basis
     arrays are None; for the prepare-and-measure protocol the basis
     arrays hold 0 (rectilinear) / 1 (diagonal) and ``axes`` is None.
-    :func:`run_epr_session` may defer its singlets' axes; the first read
-    of ``axes`` draws them.
+    ``axes`` is what ``_draw_axes`` returns, called on the first read and
+    cached: :func:`run_epr_session` draws its singlets' axes there, and
+    the default returns None.
     """
 
     verdict: str
@@ -157,15 +162,12 @@ class Transcript:
     basis_b: np.ndarray | None = None
     eve_holevo_bits: float | None = None
     eve_bits: np.ndarray | None = field(default=None, repr=False)
-    _axes: np.ndarray | None = field(default=None, init=False, repr=False)
-    _draw_axes: Callable[[], np.ndarray] | None = field(default=None, init=False, repr=False)
+    _draw_axes: Callable[[], np.ndarray | None] = field(default=lambda: None, repr=False)
 
-    @property
+    @cached_property
     def axes(self) -> np.ndarray | None:
         """The common axis of each pair (None for bb84)."""
-        if self._draw_axes is not None:
-            self._axes, self._draw_axes = self._draw_axes(), None
-        return self._axes
+        return self._draw_axes()
 
     @property
     def n(self) -> int:
@@ -241,8 +243,8 @@ def _conclude(config, outcome_a, outcome_b, key_b, in_test, sifted, **extra) -> 
         outcome_b=outcome_b,
         in_test=in_test,
         sifted=sifted,
-        sifted_key_a=outcome_a[keep].astype(np.uint8),
-        sifted_key_b=key_b[keep].astype(np.uint8),
+        sifted_key_a=outcome_a[keep],
+        sifted_key_b=key_b[keep],
         **extra,
     )
 
@@ -276,7 +278,6 @@ def run_epr_session(
     outcome_b = np.empty(n, dtype=np.uint8)
 
     coherent = isinstance(attack, CoherentAttack)
-    axes = draw_axes = None
     if coherent:
         if attack.n_pairs != n:
             raise ConfigError(
@@ -286,6 +287,9 @@ def run_epr_session(
         rest = attack.amplitudes
         for t in range(n):
             outcome_a[t], outcome_b[t], rest = measure_pair(rest, axes[t], rng)
+
+        def draw_axes() -> np.ndarray:
+            return axes
     else:
         labels = channel.sample_labels(n, rng)
         if isinstance(attack, SubstituteAttack):
@@ -312,23 +316,9 @@ def run_epr_session(
     eve_holevo = None
     if coherent:
         lo, hi = accepted_count_interval(config, m)
-        plan = TestPlan(tuple(int(i) for i in test_idx), axes[test_idx], lo, hi)
-        eve_holevo = holevo_on_pass(attack, plan)
-    transcript = _conclude(config, outcome_a, outcome_b, 1 - outcome_b, in_test,
-                           np.ones(n, dtype=bool), eve_holevo_bits=eve_holevo)
-    transcript._axes, transcript._draw_axes = axes, draw_axes
-    return transcript
-
-
-def _pauli_flips(labels: np.ndarray, diag_basis: np.ndarray) -> np.ndarray:
-    """Whether each Bell label flips a photon prepared in the given basis.
-
-    Labels act on the flying photon as 0 -> identity, 1 -> Z, 2 -> Y,
-    3 -> X: a Pauli flips the eigenstates of every axis but its own, so
-    Z flips diagonal eigenstates, X flips rectilinear ones, Y both.
-    """
-    own = channel_mod._LABEL_AXIS[labels]
-    return (own >= 0) & (own != np.where(diag_basis, 0, 2))  # diagonal: x, else z
+        eve_holevo = holevo_on_pass(attack, TestPlan(test_idx, axes[test_idx], lo, hi))
+    return _conclude(config, outcome_a, outcome_b, 1 - outcome_b, in_test,
+                     np.ones(n, dtype=bool), eve_holevo_bits=eve_holevo, _draw_axes=draw_axes)
 
 
 def run_bb84_session(
@@ -354,7 +344,7 @@ def run_bb84_session(
     bits_a = rng.integers(0, 2, size=n, dtype=np.uint8)
 
     labels = channel.sample_labels(n, rng)
-    arrival = bits_a ^ _pauli_flips(labels, basis_a).astype(np.uint8)
+    arrival = bits_a ^ channel_mod.pauli_flips(labels, basis_a).astype(np.uint8)
 
     basis_b = (rng.random(n) < omega).astype(np.uint8)
     # whoever sent Bob's photon: Alice, or Eve resending what she measured
@@ -365,11 +355,9 @@ def run_bb84_session(
         else:
             sender_basis = np.full(n, attack.policy == "diagonal", dtype=np.uint8)
         sender_bits = eve_bits = np.where(
-            sender_basis == basis_a, arrival, rng.integers(0, 2, size=n, dtype=np.uint8)
-        ).astype(np.uint8)
+            sender_basis == basis_a, arrival, rng.integers(0, 2, size=n, dtype=np.uint8))
     outcome_b = np.where(
-        basis_b == sender_basis, sender_bits, rng.integers(0, 2, size=n, dtype=np.uint8)
-    ).astype(np.uint8)
+        basis_b == sender_basis, sender_bits, rng.integers(0, 2, size=n, dtype=np.uint8))
 
     matched = basis_a == basis_b
 
@@ -417,7 +405,7 @@ def epr_bb84_equivalence_check(fidelity: float, omega: float) -> float:
         raise ConfigError(f"omega {omega} outside [0, 1]")
     bits = np.arange(2)
     # flips[label, basis]: the Pauli table run_bb84_session applies
-    flips = _pauli_flips(np.arange(4)[:, None], bits[None, :])
+    flips = channel_mod.pauli_flips(np.arange(4)[:, None], bits[None, :])
     # matched[label, basis, bit_a, bit_b]: Bob reads Alice's bit, flipped per label
     matched = 0.5 * ((bits[:, None] ^ flips[:, :, None, None]) == bits)
     # cross-basis bits are uniform

@@ -162,12 +162,12 @@ def test_c05_perfect_passing_isolates_all_singlet():
             amps /= np.linalg.norm(amps)
             attack = CoherentAttack(amps)
             plan = TestPlan(tuple(range(n)), random_axes(n, rng), 0, 0)
-            assert error_count_distribution(attack, plan.indices, plan.axes)[0] < 1.0 - 1e-9
+            assert error_count_distribution(attack, plan)[0] < 1.0 - 1e-9
 
         singlets = bell_product((0,) * n)
         for _ in range(5):
             plan = TestPlan(tuple(range(n)), random_axes(n, rng), 0, 0)
-            p = error_count_distribution(singlets, plan.indices, plan.axes)[0]
+            p = error_count_distribution(singlets, plan)[0]
             assert p == pytest.approx(1.0, abs=1e-12)
             rho = conditional_ancilla_state(singlets, plan)
             assert eve_info_bound(rho) <= 1e-9
@@ -179,7 +179,7 @@ def test_c05_perfect_passing_isolates_all_singlet():
         spiked[(3,) + (0,) * (n - 1) + (0,)] = math.sqrt(1e-6)
         atk = CoherentAttack(spiked)
         plan = TestPlan(tuple(range(n)), random_axes(n, rng), 0, 0)
-        assert error_count_distribution(atk, plan.indices, plan.axes)[0] < 1.0 - 1e-9
+        assert error_count_distribution(atk, plan)[0] < 1.0 - 1e-9
     assert perfect_cases >= 15
 
 

@@ -254,7 +254,7 @@ class TestPassingProbability:
         for m in (1, 2, 4):
             idx = tuple(rng.choice(4, size=m, replace=False))
             plan = TestPlan(idx, random_axes(m, rng), 0, 0)
-            assert error_count_distribution(atk, plan.indices, plan.axes)[0] == pytest.approx(
+            assert error_count_distribution(atk, plan)[0] == pytest.approx(
                 1.0, abs=1e-12
             )
 
@@ -265,10 +265,10 @@ class TestPassingProbability:
         for vec in random_axes(20, rng):
             plan0 = TestPlan((0, 1), np.array([vec, Z]), 0, 0)
             plan1 = TestPlan((0, 1), np.array([vec, Z]), 1, 1)
-            assert error_count_distribution(atk, plan0.indices, plan0.axes)[0] == pytest.approx(
+            assert error_count_distribution(atk, plan0)[0] == pytest.approx(
                 vec[0] ** 2, abs=1e-9
             )
-            assert error_count_distribution(atk, plan1.indices, plan1.axes)[1] == pytest.approx(
+            assert error_count_distribution(atk, plan1)[1] == pytest.approx(
                 1 - vec[0] ** 2, abs=1e-9
             )
 
@@ -289,7 +289,7 @@ class TestPassingProbability:
         t[0, 0, 0, 0, 0] = t[1, 1, 1, 1, 0] = 1 / math.sqrt(2)
         atk = CoherentAttack(t)
         mean, stderr = axis_averaged_passing_probability(
-            atk, 4, rng, n_samples=20000, indices=(0, 1, 2, 3)
+            atk, 4, rng, n_samples=20000
         )
         want = 0.5 + 0.5 * (1 / 3) ** 4
         assert abs(mean - want) <= 1e-12
@@ -302,8 +302,8 @@ class TestPassingProbability:
         a2 = bell_product_attack((0, 3, 0, 1))
         for vec in random_axes(10, rng):
             plan = TestPlan((0, 1, 2, 3), np.tile(vec, (4, 1)), 0, 0)
-            assert error_count_distribution(a1, plan.indices, plan.axes)[0] == pytest.approx(
-                error_count_distribution(a2, plan.indices, plan.axes)[0], abs=1e-12
+            assert error_count_distribution(a1, plan)[0] == pytest.approx(
+                error_count_distribution(a2, plan)[0], abs=1e-12
             )
 
     def test_monotone_in_tested_nonsinglets(self):
@@ -314,7 +314,7 @@ class TestPassingProbability:
             labels = [1] * k + [0] * (4 - k)
             atk = bell_product_attack(tuple(labels))
             mean, stderr = axis_averaged_passing_probability(
-                atk, 4, rng, n_samples=4000, indices=(0, 1, 2, 3)
+                atk, 4, rng, n_samples=4000
             )
             assert abs(mean - (1 / 3) ** k) < 4 * max(stderr, 1e-12)
             means.append(mean)
@@ -334,21 +334,18 @@ class TestPassingProbability:
         monkeypatch.setattr("qkdlab.adversary._bell_weights", no_work)
         atk = bell_product_attack((0, 0, 0, 0))
         rng = stream(424)
-        for accept, indices in (((0, 5), None), ((2, 1), None), ((-1, 0), None),
-                                ((0, 0), (0,)), ((0, 0), (0, 1, 2)),
-                                ((0, 0), (0, 0)), ((0, 0), (-1, 0)), ((0, 0), (0, 4))):
+        for accept in ((0, 5), (2, 1), (-1, 0)):
             with pytest.raises(ConfigError):
-                axis_averaged_passing_probability(
-                    atk, 2, rng, n_samples=3, accept=accept, indices=indices)
+                axis_averaged_passing_probability(atk, 2, rng, n_samples=3, accept=accept)
         assert rng.random() == stream(424).random()  # nothing was drawn
         axes = random_axes(2, stream(425))
         for indices in ((0, 0), (-1, 0), (0, 4)):
             with pytest.raises(ConfigError):
-                error_count_distribution(atk, indices, axes)
+                error_count_distribution(atk, TestPlan(indices, axes, 0, 0))
         with pytest.raises(ConfigError):
             conditional_ancilla_state(atk, TestPlan((0, 4), axes, 0, 0))
         with pytest.raises(ConfigError):
-            error_count_distribution(atk, (0, 1), random_axes(3, stream(426)))
+            error_count_distribution(atk, TestPlan((0, 1), random_axes(3, stream(426)), 0, 0))
 
 
 class TestPlanValidation:
@@ -381,7 +378,7 @@ class TestErrorCountDistribution:
     @given(attack_and_plan())
     def test_sums_to_one_and_conditions_to_unit_trace(self, case):
         atk, plan, _ = case
-        probs = error_count_distribution(atk, plan.indices, plan.axes)
+        probs = error_count_distribution(atk, plan)
         assert probs.shape == (len(plan.indices) + 1,)
         assert np.all(probs >= -1e-15)
         assert abs(probs.sum() - 1.0) <= 1e-12
@@ -446,21 +443,18 @@ def coordinate_axis_average(attack, indices, lo, hi):
     the outcome walk; walking all 3^m plans of a six-pair attack takes
     minutes."""
     plans = itertools.product(np.eye(3), repeat=len(indices))
-    laws = [error_count_distribution(attack, indices, np.array(axes)) for axes in plans]
+    laws = [error_count_distribution(attack, TestPlan(indices, np.array(axes), lo, hi))
+            for axes in plans]
     return np.mean(laws, axis=0)[lo : hi + 1].sum()
 
 
-def reference_axis_average(attack, m, rng, n_samples, accept, indices):
-    """Per sample, a drawn subset (unless given) scored by its coordinate-axis
-    average, once per distinct subset."""
+def reference_axis_average(attack, m, rng, n_samples, accept):
+    """Per sample, a drawn subset scored by its coordinate-axis average, once
+    per distinct subset."""
     by_subset = {}
     values = np.empty(n_samples)
     for s in range(n_samples):
-        pairs = (
-            indices
-            if indices is not None
-            else tuple(int(i) for i in rng.choice(attack.n_pairs, size=m, replace=False))
-        )
+        pairs = tuple(int(i) for i in rng.choice(attack.n_pairs, size=m, replace=False))
         if pairs not in by_subset:
             by_subset[pairs] = coordinate_axis_average(attack, pairs, *accept)
         values[s] = by_subset[pairs]
@@ -475,7 +469,7 @@ class TestTestedPairReduction:
     @given(attack_and_plan(max_pairs=6, max_ancilla=16))
     def test_matches_outcome_class_walk(self, case):
         atk, plan, _ = case
-        got = error_count_distribution(atk, plan.indices, plan.axes)
+        got = error_count_distribution(atk, plan)
         assert np.abs(got - reference_law(atk, plan.indices, plan.axes)).max() <= 1e-12
         accum, total = reference_conditional_ancilla(atk, plan)
         if total < 1e-12:
@@ -486,15 +480,14 @@ class TestTestedPairReduction:
             assert np.abs(rho - accum / total).max() <= 1e-12
 
     @settings(max_examples=30)
-    @given(attack_and_plan(max_pairs=6, max_ancilla=16), st.integers(1, 8), st.booleans())
-    def test_sampler_matches_per_sample_walk(self, case, n_samples, fixed):
+    @given(attack_and_plan(max_pairs=6, max_ancilla=16), st.integers(1, 8))
+    def test_sampler_matches_per_sample_walk(self, case, n_samples):
         atk, plan, seed = case
         m = len(plan.indices)
-        indices = plan.indices if fixed else None
         accept = (plan.accept_lo, plan.accept_hi)
         rng, ref_rng = stream(seed, 1), stream(seed, 1)
-        got = axis_averaged_passing_probability(atk, m, rng, n_samples, accept, indices)
-        want = reference_axis_average(atk, m, ref_rng, n_samples, accept, indices)
+        got = axis_averaged_passing_probability(atk, m, rng, n_samples, accept)
+        want = reference_axis_average(atk, m, ref_rng, n_samples, accept)
         assert abs(got[0] - want[0]) <= 1e-12
         assert abs(got[1] - want[1]) <= 1e-12
         assert np.array_equal(rng.random(4), ref_rng.random(4))
@@ -503,12 +496,12 @@ class TestTestedPairReduction:
     @given(attack_and_plan(max_pairs=6, max_ancilla=16))
     def test_sampled_subsets_average_to_the_exact_mean(self, case):
         """Drawn subsets average to within 3 sigma of the mean over all
-        C(N, m) subsets, each scored exactly with fixed ``indices``."""
+        C(N, m) subsets, each scored exactly by its coordinate-axis average."""
         atk, plan, seed = case
         m = len(plan.indices)
         accept = (plan.accept_lo, plan.accept_hi)
         exact = np.mean([
-            axis_averaged_passing_probability(atk, m, stream(seed), 1, accept, subset)[0]
+            coordinate_axis_average(atk, subset, *accept)
             for subset in itertools.combinations(range(atk.n_pairs), m)
         ])
         mean, stderr = axis_averaged_passing_probability(atk, m, stream(seed, 2), 400, accept)
@@ -582,7 +575,7 @@ class TestConditionalAncilla:
                         total += float(np.vdot(anc, anc).real)
         oracle = accum / total
         rho = conditional_ancilla_state(atk, plan)
-        assert error_count_distribution(atk, plan.indices, plan.axes)[0] == pytest.approx(
+        assert error_count_distribution(atk, plan)[0] == pytest.approx(
             total, abs=1e-9
         )
         assert np.allclose(rho.matrix, oracle, atol=1e-9)

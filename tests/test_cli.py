@@ -137,6 +137,12 @@ class TestConfigMistakes:
                         ["--theta", "0.1"])),
         ["bounds", "--n", "100", "--epsilon", "0.01", "--out", "g.csv"],
         ["simulate", "--c", "nan", "--threshold-mode", "window"],
+        # a NaN epsilon is a bad parameter in every command, not a regime error
+        ["simulate", "--epsilon", "nan"],
+        ["bounds", "--n", "100", "--epsilon", "nan"],
+        ["attack-eval", "--attack-file", "ATTACK4", "--m", "1", "--epsilon", "nan"],
+        ["bounds", "--grid-n", "50,100", "--grid-eps", "0.01,nan", "--out", "g.csv"],
+        ["simulate", "--protocol", "bb84", "--attack", "intercept_resend:"],
         ["simulate", "--c", "inf", "--threshold-mode", "window"],
         ["simulate", "--attack-file", "ATTACK"],
         ["equivalence", "--fidelity", "1.5"],
@@ -173,6 +179,7 @@ class TestConfigMistakes:
         code, _, err = run_cli(argv, capsys)
         assert code == 2
         assert "config error" in err
+        assert not (tmp_path / "g.csv").exists()  # a failed grid writes no rows
 
     def test_unwritable_transcript_stops_after_trial_0(self, tmp_path, monkeypatch, capsys):
         """Trial 0's transcript is written as soon as trial 0 ends."""
@@ -250,7 +257,7 @@ PROPERTY_FLAGS = {
     "--grid-eps": (*_EDGES, *_JUNK, "0.02,0.3", "0.01,nan"),
     "--protocol": ("epr", "bb84", "x"),
     "--attack": ("none", "coherent", "intercept_resend", "intercept_resend:diagonal",
-                 "intercept_resend:x", "substitute:", "substitute:0.1", "substitute:nan",
+                 "intercept_resend:x", "intercept_resend:", "substitute:", "substitute:0.1", "substitute:nan",
                  "substitute:2", "x"),
     "--threshold-mode": ("window", "two_epsilon", "x"),
     "--attack-file": ("ATTACK", "BAD_ATTACK", "missing/a.txt", ".", ""),
@@ -1016,3 +1023,32 @@ class TestEveryNameIsUsed:
                 unread.update(f"{path.stem}.{node.name}.{stmt.target.id}" for stmt in node.body
                               if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in read)
         assert unread == set(TEST_ONLY_FIELDS)
+
+
+# underscore names src/qkdlab reads on objects it does not own, and why
+FOREIGN_PRIVATE_NAMES = {
+    "_actions": "argparse has no public way to list a subcommand's flags, and "
+                "_apply_scenario derives the scenario fields from them",
+}
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+class TestNoPrivateAccess:
+    def test_private_names_stay_with_their_owner(self):
+        """In src/qkdlab an attribute with one leading underscore is used only
+        on ``self`` or ``cls``, and no import names a ``_name``."""
+        found = set()
+        for path in sorted((ROOT / "src" / "qkdlab").glob("*.py")):
+            for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(n, ast.Attribute) and _is_private(n.attr) and not (
+                        isinstance(n.value, ast.Name) and n.value.id in ("self", "cls")):
+                    found.add((n.attr, f"{path.name}: {ast.unparse(n)}"))
+                elif isinstance(n, (ast.Import, ast.ImportFrom)):
+                    names = [a.name for a in n.names] + [getattr(n, "module", None) or ""]
+                    found.update((part, f"{path.name}: import {name}") for name in names
+                                 for part in name.split(".") if _is_private(part))
+        assert sorted(where for name, where in found if name not in FOREIGN_PRIVATE_NAMES) == []
+        assert {name for name, _ in found} == set(FOREIGN_PRIVATE_NAMES)

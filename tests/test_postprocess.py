@@ -29,7 +29,7 @@ def noisy_pair(n, p, rng):
     return a, a ^ flips
 
 
-def bisect_reference(key_a, key_b, perm_source, qber_hint=None):
+def bisect_reference(key_a, key_b, perm_source, qber_hint):
     """Shuffled block-parity bisection, one odd block at a time.
 
     ``perm_source(wrong)`` returns each pass's whole permutation, given the
@@ -40,7 +40,7 @@ def bisect_reference(key_a, key_b, perm_source, qber_hint=None):
     n = a.size
     if n == 0:
         return b, 0
-    q = 0.05 if qber_hint is None else max(float(qber_hint), 0.0)
+    q = max(float(qber_hint), 0.0)
     block = n if q <= 0.0 else min(n, max(2, math.ceil(min(0.73 / q, n))))
     block_cap = max(block, n // 16)
     leaked = 0
@@ -120,10 +120,10 @@ def permutations_from_images(n, images, counts):
 
 @st.composite
 def reconcile_cases(draw):
-    """(n, error rate, qber_hint, seed): the hint is None, 0, exact or arbitrary."""
+    """(n, error rate, qber_hint, seed): the hint is 0, exact or arbitrary."""
     n = draw(st.integers(0, 3000))
     rate = draw(st.floats(0.0, 0.5))
-    hint = draw(st.one_of(st.none(), st.just(0.0), st.just(rate), st.floats(0.0, 0.5)))
+    hint = draw(st.one_of(st.just(0.0), st.just(rate), st.floats(0.0, 0.5)))
     return n, rate, hint, draw(st.integers(0, 2**32 - 1))
 
 
@@ -198,10 +198,10 @@ class TestReconcile:
             wrong = img.size
 
     def test_empty_and_shape_checks(self):
-        out, leaked = reconcile([], [], stream(609))
+        out, leaked = reconcile([], [], stream(609), qber_hint=0.05)
         assert out.size == 0 and leaked == 0
         with pytest.raises(ValueError):
-            reconcile([0, 1], [1], stream(609))
+            reconcile([0, 1], [1], stream(609), qber_hint=0.05)
 
 
 class TestPrivacyAmplify:
@@ -279,7 +279,7 @@ class TestDistillKey:
         calls = self.count_amplify(monkeypatch)
         a, b = noisy_pair(64, 0.02, stream(614))
         res = distill_key(a, b, 0.02, stream(615), kprime=10.0)
-        assert res.final_length == 0 and res._reconciled is None  # nothing kept to hash
+        assert res.final_length == 0 and res._amplify is None  # nothing kept to hash
         assert res.key_a == b"" and res.keys_equal and len(calls) == 0
 
     @staticmethod
@@ -318,11 +318,13 @@ class TestDistillKey:
         corrected, leaked = reconcile(a, b, replay, qber_hint=0.0)
         hash_seed = int(replay.integers(0, 2**63))
         assert np.array_equal(corrected, b) and leaked == res.leaked_bits
+        packed = [np.packbits(privacy_amplify(k, res.final_length, hash_seed)).tobytes()
+                  for k in (a, corrected)]
+        a ^= 1  # the result hashes the keys as they were when distill_key ran
+        b ^= 1
         assert len(calls) == 0
         assert not res.keys_equal and res.final_length > 0
         assert len(calls) == 2
-        packed = [np.packbits(privacy_amplify(k, res.final_length, hash_seed)).tobytes()
-                  for k in (a, corrected)]
         assert [res.key_a, res.key_b] == packed
 
     @pytest.mark.parametrize("equal, read, hashes", [
@@ -330,18 +332,17 @@ class TestDistillKey:
         (False, "key_a", 2), (False, "key_b", 2), (False, "keys_equal", 2),
     ])
     def test_keys_are_hashed_on_first_read(self, monkeypatch, equal, read, hashes):
-        """distill_key hashes nothing; the first read of either key hashes both
-        and drops the packed inputs; later reads hash nothing."""
+        """distill_key hashes nothing; the first read of either key hashes both,
+        once when they are equal, and drops the hash function with its packed
+        inputs; later reads hash nothing."""
         a, b = self.unequal_pair()
         if equal:
             b = a.copy()
         calls = self.count_amplify(monkeypatch)
         res = distill_key(a, b, 0.0, stream(617))
-        assert res.final_length > 0 and len(calls) == 0
-        packed_a, packed_b = res._reconciled
-        assert (packed_b is packed_a) == equal
+        assert res.final_length > 0 and len(calls) == 0 and res._amplify is not None
         getattr(res, read)
-        assert len(calls) == hashes and res._reconciled is None
+        assert len(calls) == hashes and res._amplify is None
         assert (res.key_b is res.key_a) == equal and res.keys_equal == equal
         assert len(calls) == hashes
 

@@ -69,6 +69,14 @@ class TestAcceptanceWindow:
                                               r"errors; use window mode"):
             accepted_count_interval(cfg, 100)
 
+    def test_default_rule_follows_the_error_rate(self):
+        """Without a threshold_mode, a positive rate tests at two_epsilon and a
+        zero rate at the window, whose interval exists."""
+        assert SessionConfig(1000, 100, 0.02).threshold_mode == "two_epsilon"
+        cfg = SessionConfig(1000, 100, 0.0)
+        assert cfg.threshold_mode == "window"
+        assert accepted_count_interval(cfg, 100) == (0, 0)
+
     @settings(max_examples=300)
     @given(st.floats(0.0, 0.99), st.floats(0.01, 100.0), st.integers(1, 2000),
            st.sampled_from(["window", "two_epsilon"]))
@@ -326,8 +334,8 @@ class TestBb84Session:
     def test_y_flipping_neither_basis_is_caught(self, monkeypatch):
         # a column swap of the Pauli table keeps these counts (the label is
         # never seen); the exact distance test covers that fault
-        pauli_flips = protocol._pauli_flips
-        monkeypatch.setattr(protocol, "_pauli_flips",
+        pauli_flips = channel.pauli_flips
+        monkeypatch.setattr(channel, "pauli_flips",
                             lambda labels, diag: pauli_flips(labels, diag) & (labels != 2))
         assert np.abs(bb84_cell_z(0.97, 0.3, 200_000, 531)).max() > 4.0
 
@@ -482,8 +490,8 @@ class TestEquivalence:
 
     def test_wrong_pauli_table_is_inconsistent(self, monkeypatch):
         # the basis columns swapped: labels 1 and 3 flip the wrong basis
-        pauli_flips = protocol._pauli_flips
-        monkeypatch.setattr(protocol, "_pauli_flips",
+        pauli_flips = channel.pauli_flips
+        monkeypatch.setattr(channel, "pauli_flips",
                             lambda labels, diag: pauli_flips(labels, 1 - diag))
         distance = epr_bb84_equivalence_check(0.97, 0.5)
         assert distance == pytest.approx(0.01)
