@@ -33,11 +33,12 @@ so axis averages are exact sums over the stored amplitudes' squared moduli
 the ancilla dimension amplitudes is why coherent attacks are capped at 6
 pairs and ancilla dimension 16.
 
-The typicality split weighs an attack on the low-count ("atypical")
-subspace, whose dimension is bounded in :mod:`qkdlab.bounds`.  Passing a
-test does not confine an attack there: weight on t non-singlet slots with
-2 N eps <= t < 3 N eps errs below rate 2 eps on average, so it passes the
-default ``two_epsilon`` test with probability tending to 1 as N grows (see
+The typicality split weighs an attack on the words with fewer than T
+non-singlet slots, for the caller's T; :mod:`qkdlab.bounds` bounds this
+"atypical" subspace at T = ceil(2 N eps).  Passing a test does not confine
+an attack there: weight on t non-singlet slots with 2 N eps <= t < 3 N eps
+errs below rate 2 eps on average, so it passes the default ``two_epsilon``
+test with probability tending to 1 as N grows (see
 :func:`qkdlab.bounds.eve_info_upper`).
 """
 
@@ -49,7 +50,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import atypical_threshold
 from .errors import ConfigError, RegimeError
 from .qstate import NORM_ATOL, DensityMatrix, rotate_pairs, von_neumann_entropy
 
@@ -74,11 +74,8 @@ class InterceptResend:
 
 @dataclass(frozen=True)
 class SubstituteAttack:
-    """Replace a fraction of pairs by triplets drawn from ``label_weights``.
-
-    ``label_weights`` may name the singlet first, with weight 0; it is
-    stored as the three triplet weights.
-    """
+    """Replace a fraction of pairs by triplets drawn from ``label_weights``,
+    the weights of the Bell labels 1, 2 and 3."""
 
     fraction: float
     label_weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
@@ -87,10 +84,6 @@ class SubstituteAttack:
         if not 0.0 <= self.fraction <= 1.0:
             raise ConfigError(f"substitution fraction {self.fraction} outside [0, 1]")
         w = tuple(float(x) for x in self.label_weights)
-        if len(w) == 4:
-            if w[0] != 0.0:
-                raise ConfigError("substitution must not place weight on the singlet label")
-            w = w[1:]
         if len(w) != 3:
             raise ConfigError("label weights must cover the three triplet labels")
         if any(x < 0.0 for x in w) or abs(sum(w) - 1.0) > 1e-9:
@@ -100,22 +93,20 @@ class SubstituteAttack:
 
 def substitute_pairs(
     labels: np.ndarray, attack: SubstituteAttack, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Overwrite a random ``round(attack.fraction * n)`` positions with triplet labels.
+) -> np.ndarray:
+    """A copy of ``labels`` with a random ``round(attack.fraction * n)``
+    positions overwritten by triplet labels.
 
-    Returns (new labels, boolean mask of substituted positions).  The
-    remaining positions keep their input labels, so composing with a noisy
-    channel means sampling the input stream from that channel.
+    The remaining positions keep their input labels, so composing with a
+    noisy channel means sampling the input stream from that channel.
     """
     labels = np.array(labels, dtype=np.int64, copy=True)
     n = labels.shape[0]
     count = int(round(attack.fraction * n))
-    mask = np.zeros(n, dtype=bool)
     if count:
         positions = rng.choice(n, size=count, replace=False)
         labels[positions] = rng.choice([1, 2, 3], size=count, p=attack.label_weights)
-        mask[positions] = True
-    return labels, mask
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -360,16 +351,16 @@ def holevo_on_pass(attack: CoherentAttack, plan: TestPlan) -> float | None:
         return None
 
 
-def typicality_split(attack: CoherentAttack, eps: float) -> tuple[float, float]:
+def typicality_split(attack: CoherentAttack, threshold: int) -> tuple[float, float]:
     """Weights of the attack state on the typical / atypical count subspaces.
 
     The atypical subspace is spanned by Bell-product vectors with fewer
-    than T = ceil(2 N eps) non-singlet slots; weight on its complement is
-    what an error-rate test at eps is statistically able to notice.  The
-    ancilla is summed over.
+    than the integer ``threshold`` T of non-singlet slots (the bound chain's
+    is ceil(2 N eps)); weight on its complement is what an error-rate test
+    at eps is statistically able to notice.  The ancilla is summed over.
     """
+    t = operator.index(threshold)
     n_pairs = attack.n_pairs
-    t = atypical_threshold(n_pairs, eps)
     weights = _bell_weights(attack)
     atypical = float(weights[_slot_counts(_NONSINGLET, n_pairs).reshape(weights.shape) < t].sum())
     return float(weights.sum() - atypical), atypical

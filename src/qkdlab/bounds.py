@@ -165,8 +165,9 @@ def atypical_dim_chain(n_pairs: int, eps: float) -> BoundReport:
     l2 = t**3 * math.comb(n_pairs, t - 1) ** 3
     log2_l3 = 3.0 * math.log2(t) + 3.0 * n_pairs * binary_entropy((t - 1) / n_pairs)
     mu = 3.0 * math.log2(t**3) / n_pairs
-    log2_l4 = n_pairs * (6.0 * binary_entropy(eps) + mu)
-    implied_k = (6.0 * binary_entropy(eps) + mu) / (-eps * math.log2(eps))
+    rate = 6.0 * binary_entropy(eps) + mu
+    log2_l4 = n_pairs * rate
+    implied_k = rate / (-eps * math.log2(eps))
     log2_l5 = -n_pairs * implied_k * eps * math.log2(eps)
     return BoundReport(
         n_pairs=n_pairs,
@@ -187,13 +188,13 @@ def atypical_dim_chain(n_pairs: int, eps: float) -> BoundReport:
     )
 
 
-def eve_info_upper(n_pairs: int, eps: float, theta: float = 0.0) -> float:
+def eve_info_upper(report: BoundReport, theta: float = 0.0) -> float:
     """Upper bound in bits on Eve's accessible information per session.
 
-    log2 of the exact atypical dimension plus an N*theta allowance for
-    residual weight outside it.  Dominates the Holevo quantity only of
-    coherent attacks supported on the atypical subspace (fewer than
-    T = ceil(2 N eps) non-singlet slots) at matching (N, eps).  Passing
+    log2 of the exact atypical dimension ``report`` counted, plus an N*theta
+    allowance for residual weight outside it.  Dominates the Holevo quantity
+    only of coherent attacks supported on the atypical subspace (fewer than
+    T = ceil(2 N eps) non-singlet slots) at the report's (N, eps).  Passing
     the default ``two_epsilon`` test does not confine an attack there: a
     non-singlet slot errs with probability 2/3 along a random axis, so
     weight on t slots with 2 N eps <= t < 3 N eps shows an expected test
@@ -202,11 +203,9 @@ def eve_info_upper(n_pairs: int, eps: float, theta: float = 0.0) -> float:
     Raises ConfigError when theta is so large that the bound overflows.
     """
     check_theta(theta)
-    _check_regime(n_pairs, eps)
-    t = atypical_threshold(n_pairs, eps)
-    upper = log2_int(atypical_count_exact(n_pairs, t)) + n_pairs * theta
+    upper = report.log2_exact + report.n_pairs * theta
     if not math.isfinite(upper):
-        raise ConfigError(f"theta {theta} overflows the bound over {n_pairs} pairs")
+        raise ConfigError(f"theta {theta} overflows the bound over {report.n_pairs} pairs")
     return upper
 
 

@@ -148,12 +148,12 @@ def _apply_scenario(args: argparse.Namespace) -> None:
             continue
         if key not in flags or key in ("help", "scenario"):
             raise ConfigError(f"unknown scenario field {key!r}")
-        _check_scenario_value(flags[key], value)
-        setattr(args, key, value)
+        setattr(args, key, _scenario_value(flags[key], value))
 
 
-def _check_scenario_value(flag: argparse.Action, value) -> None:
-    """Raise ConfigError unless a JSON ``value`` is what ``flag`` parses to."""
+def _scenario_value(flag: argparse.Action, value):
+    """A JSON ``value`` as ``flag`` parses it: a float flag's number as a float.
+    Raises ConfigError unless ``value`` has the flag's type and fits it."""
     if value is None:
         ok = flag.default is None
     else:
@@ -163,8 +163,14 @@ def _check_scenario_value(flag: argparse.Action, value) -> None:
             and not isinstance(value, bool)
             and (flag.choices is None or value in flag.choices)
         )
+    if ok and flag.type is float and value is not None:
+        try:
+            return float(value)
+        except OverflowError:  # an integer past the float range
+            ok = False
     if not ok:
         raise ConfigError(f"scenario field {flag.dest!r} cannot be {json.dumps(value)}")
+    return value
 
 
 def _load_attack_file(path) -> CoherentAttack:
@@ -368,12 +374,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     if args.n is None or args.epsilon is None:
         raise ConfigError("single-point mode needs --n and --epsilon")
     report = atypical_dim_chain(args.n, args.epsilon)
-    payload = report.to_dict()
-    payload["eve_info_upper"] = eve_info_upper(args.n, args.epsilon, args.theta)
-    payload["secrecy_lower_bound"] = secrecy_lower_bound(args.epsilon, args.kprime)
-    payload["kprime"] = args.kprime
-    payload["theta"] = args.theta
-    _emit_json(payload, args.summary)
+    _emit_json({**report.to_dict(), "eve_info_upper": eve_info_upper(report, args.theta),
+                "secrecy_lower_bound": secrecy_lower_bound(args.epsilon, args.kprime),
+                "kprime": args.kprime, "theta": args.theta}, args.summary)
     return 0
 
 
@@ -382,7 +385,7 @@ def cmd_attack_eval(args: argparse.Namespace) -> int:
     attack = _load_attack_file(args.attack_file)
     upper = None
     if args.epsilon is not None:  # before sampling: a bad epsilon does no work
-        upper = eve_info_upper(attack.n_pairs, args.epsilon, args.theta)
+        upper = eve_info_upper(atypical_dim_chain(attack.n_pairs, args.epsilon), args.theta)
     rng = stream(args.seed)
     mean, stderr = axis_averaged_passing_probability(
         attack,

@@ -100,20 +100,18 @@ class SessionConfig:
 def accepted_count_interval(config: SessionConfig, m: int) -> tuple[int, int]:
     """The accepted error-count interval for a test of ``m`` >= 1 positions.
 
-    ``window`` mode accepts the counts 0..m in [(eps - c eps^2) m,
-    (eps + c eps^2) m], rounded inward to integers (ceil below, floor
-    above); ``two_epsilon`` mode accepts the counts 0..m below 2 eps m.  An
-    interval that rounds empty is a configuration error.
+    ``window`` mode accepts the counts in [(eps - c eps^2) m,
+    (eps + c eps^2) m], clamped to [0, m] and rounded inward (ceil below,
+    floor above); ``two_epsilon`` mode accepts the counts 0..m below
+    2 eps m.  An interval that rounds empty is a configuration error.
     """
     eps, c = config.expected_error, config.window_coeff
     if config.threshold_mode == "window":
-        lo = max(0, math.ceil((eps - c * eps * eps) * m - 1e-9))
-        hi = math.floor((eps + c * eps * eps) * m + 1e-9)
+        lo = math.ceil(max(0.0, (eps - c * eps * eps) * m - 1e-9))
+        hi = math.floor(min(float(m), (eps + c * eps * eps) * m + 1e-9))
         if hi < lo:
-            raise ConfigError(
-                f"acceptance window for eps={eps}, c={c}, m={m} rounds empty"
-            )
-        return lo, min(hi, m)
+            raise ConfigError(f"acceptance window for eps={eps}, c={c}, m={m} rounds empty")
+        return lo, hi
     hi = math.ceil(2.0 * eps * m - 1e-9) - 1
     if hi < 0:
         raise ConfigError(
@@ -293,7 +291,7 @@ def run_epr_session(
     else:
         labels = channel.sample_labels(n, rng)
         if isinstance(attack, SubstituteAttack):
-            labels, _ = substitute_pairs(labels, attack, rng)
+            labels = substitute_pairs(labels, attack, rng)
         singlet = labels == 0
         noisy = np.flatnonzero(~singlet)
         noisy_axes = random_axes(noisy.size, rng)

@@ -22,7 +22,7 @@ from qkdlab.adversary import (
     substitute_pairs,
     typicality_split,
 )
-from qkdlab.bounds import eve_info_upper
+from qkdlab.bounds import atypical_dim_chain, eve_info_upper
 from qkdlab.channel import ChannelModel
 from qkdlab.errors import ConfigError, RegimeError
 from qkdlab.protocol import SessionConfig, run_bb84_session
@@ -59,27 +59,29 @@ def bell_product_attack(labels, ancilla_dim=1, marker=0):
 class TestSubstitutePairs:
     def test_exact_replacement_count(self):
         rng = stream(401)
+        # from all-singlet labels, each substituted position is a nonzero label
         labels = np.zeros(1000, dtype=np.int64)
-        new, mask = substitute_pairs(labels, SubstituteAttack(0.1), rng)
-        assert mask.sum() == 100
-        assert np.all(new[mask] > 0)
-        assert np.all(new[~mask] == 0)
+        new = substitute_pairs(labels, SubstituteAttack(0.1), rng)
+        assert np.count_nonzero(new) == 100
+        assert new.max() <= 3
+        assert not labels.any()  # the input is left as it was
 
     def test_zero_fraction_identity(self):
         rng = stream(402)
         labels = np.array([0, 1, 2, 3, 0])
-        new, mask = substitute_pairs(labels, SubstituteAttack(0.0, (1, 0, 0)), rng)
+        new = substitute_pairs(labels, SubstituteAttack(0.0, (1, 0, 0)), rng)
         assert np.array_equal(new, labels)
-        assert not mask.any()
 
     def test_composes_with_channel_labels(self):
         rng = stream(403)
+        # weights (1, 0, 0) write label 1, so each substitution of a 2 shows
         labels = np.full(500, 2, dtype=np.int64)
-        new, mask = substitute_pairs(labels, SubstituteAttack(0.2, (1, 0, 0)), rng)
-        assert np.all(new[mask] == 1)
-        assert np.all(new[~mask] == 2)
+        new = substitute_pairs(labels, SubstituteAttack(0.2, (1, 0, 0)), rng)
+        assert np.count_nonzero(new == 1) == 100
+        assert np.all((new == 1) | (new == 2))
 
     def test_rejects_singlet_weight(self):
+        # a weight per Bell label, singlet first, is not the three triplet weights
         with pytest.raises(ConfigError):
             SubstituteAttack(fraction=0.5, label_weights=(0.5, 0.5, 0.0, 0.0))
         with pytest.raises(ConfigError):
@@ -606,15 +608,15 @@ class TestConditionalAncilla:
 class TestTypicalitySplit:
     def test_all_singlets_fully_atypical(self):
         atk = bell_product_attack((0, 0, 0, 0))
-        typical, atypical = typicality_split(atk, 0.2)
+        typical, atypical = typicality_split(atk, 2)
         assert atypical == pytest.approx(1.0, abs=1e-12)
         assert typical == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_superposition_count(self):
-        # T = ceil(2*4*0.2) = 2: atypical vectors are the 13 with < 2 bad slots
+        # T = 2: atypical vectors are the 13 with < 2 bad slots
         t = np.full((4, 4, 4, 4, 1), 1 / 16.0, dtype=complex)
         atk = CoherentAttack(t)
-        typical, atypical = typicality_split(atk, 0.2)
+        typical, atypical = typicality_split(atk, 2)
         assert atypical == pytest.approx(13 / 256, abs=1e-12)
         assert typical + atypical == pytest.approx(1.0, abs=1e-9)
 
@@ -623,7 +625,7 @@ class TestTypicalitySplit:
         t = np.zeros((4, 4, 1), dtype=complex)
         t[1, 0, 0] = t[0, 0, 0] = t[2, 3, 0] = 1 / math.sqrt(3)
         atk = CoherentAttack(t)
-        before = typicality_split(atk, 0.2)
+        before = typicality_split(atk, 1)  # T = 1: the all-singlet word alone
         dims = (2,) * 4 + (1,)
         # the conversion to qubits as a matrix: the image of each Bell word
         conv = np.stack([bell_to_computational(e, 2) for e in np.eye(16)], axis=1)
@@ -633,17 +635,22 @@ class TestTypicalitySplit:
             amps = apply_operator(amps, dims, r, (2 * pair,))
             amps = apply_operator(amps, dims, r, (2 * pair + 1,))
         back = (conv.conj().T @ amps).reshape(atk.amplitudes.shape)
-        after = typicality_split(CoherentAttack(back), 0.2)
+        after = typicality_split(CoherentAttack(back), 1)
         assert after[0] == pytest.approx(before[0], abs=1e-9)
         assert after[1] == pytest.approx(before[1], abs=1e-9)
+
+    def test_threshold_must_be_an_integer(self):
+        # an error rate passed in its place would count only the all-singlet words
+        with pytest.raises(TypeError):
+            typicality_split(bell_product_attack((0, 1)), 0.2)
 
 
 class TestEveInfoDominance:
     def test_upper_bound_dominates_conforming_attacks(self):
         """S(rho_R) of an atypical-supported attack stays under the count bound."""
         rng = stream(418)
-        n, eps = 4, 0.13  # T = 2: 13 atypical basis vectors
-        upper = eve_info_upper(n, eps, 0.0)
+        report = atypical_dim_chain(4, 0.13)  # T = 2: 13 atypical basis vectors
+        upper = eve_info_upper(report, 0.0)
         atypical_idx = [(0, 0, 0, 0)]
         for slot in range(4):
             for lab in (1, 2, 3):
@@ -657,7 +664,7 @@ class TestEveInfoDominance:
                 t[idx] = rng.normal(size=16) + 1j * rng.normal(size=16)
             t /= np.linalg.norm(t)
             atk = CoherentAttack(t)
-            _, aty = typicality_split(atk, eps)
+            _, aty = typicality_split(atk, report.threshold)
             assert aty == pytest.approx(1.0, abs=1e-9)
             m = int(rng.integers(1, 5))
             idxs = tuple(int(i) for i in rng.choice(4, size=m, replace=False))

@@ -220,14 +220,14 @@ class TestDimChain:
 class TestEveInfoUpper:
     def test_ideal_limit_zero(self):
         # T = 1: only the all-singlet vector is atypical
-        assert eve_info_upper(4, 0.125, 0.0) == pytest.approx(0.0)
+        assert eve_info_upper(atypical_dim_chain(4, 0.125), 0.0) == pytest.approx(0.0)
 
     def test_log_of_exact_count(self):
-        assert eve_info_upper(4, 0.13, 0.0) == pytest.approx(math.log2(13))
+        assert eve_info_upper(atypical_dim_chain(4, 0.13), 0.0) == pytest.approx(math.log2(13))
 
     def test_theta_term(self):
-        base = eve_info_upper(10, 0.1, 0.0)
-        assert eve_info_upper(10, 0.1, 0.05) == pytest.approx(base + 0.5)
+        report = atypical_dim_chain(10, 0.1)
+        assert eve_info_upper(report, 0.05) == pytest.approx(eve_info_upper(report, 0.0) + 0.5)
 
 
 class TestSecrecyLowerBound:

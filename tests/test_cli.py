@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qkdlab
-from qkdlab import cli
+from qkdlab import bounds, cli
 from qkdlab.cli import CSV_COLUMNS, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -106,6 +106,8 @@ SCENARIO_MISTAKES = {
     "float_as_string": {"epsilon": "0.02"},
     "string_as_number": {"summary": 0},
     "null_without_none_default": {"omega": None},
+    # integers past the float range, for each float flag a run reads
+    **{f"huge_int_{key}": {key: 10**400} for key in ("epsilon", "fidelity", "c", "kprime")},
 }
 
 
@@ -221,6 +223,17 @@ class TestConfigMistakes:
                                     "threshold_mode": "window", "fidelity": None}))
         assert run_cli(["simulate", "--scenario", str(scen)], capsys)[0] == 0
 
+    def test_scenario_numbers_take_their_flag_type(self, tmp_path, capsys):
+        """A JSON integer for a float flag is read as that float, as the flag is."""
+        values = {"kprime": 5, "omega": 1, "n": 200, "m": 20, "epsilon": 0.02}
+        scen, by_file, by_flag = (tmp_path / f for f in ("scen.json", "file.json", "flag.json"))
+        scen.write_text(json.dumps(values))
+        assert run_cli(["simulate", "--scenario", str(scen), "--summary", str(by_file)],
+                       capsys)[0] == 0
+        flags = [arg for key, value in values.items() for arg in (f"--{key}", str(value))]
+        assert run_cli(["simulate", *flags, "--summary", str(by_flag)], capsys)[0] == 0
+        assert by_file.read_bytes() == by_flag.read_bytes()
+
 
 # The exit-code property's grammar: small valid base commands (N <= 2,000,
 # coherent N = 4), and for each flag the values a mutation may give it.
@@ -244,7 +257,7 @@ PROPERTY_FLAGS = {
     "--m": (*_EDGES, *_JUNK, "1", "2", "2000"),
     "--trials": (*_EDGES, *_JUNK, "2"),
     "--seed": (*_EDGES, *_JUNK, "2000"),
-    "--epsilon": (*_EDGES, *_JUNK, "0.02", "0.25", "0.7"),
+    "--epsilon": (*_EDGES, *_JUNK, "0.02", "0.25", "0.5", "0.7"),
     "--fidelity": (*_EDGES, *_JUNK, "0.9", "1.5"),
     "--omega": (*_EDGES, *_JUNK, "0.1", "2"),
     "--c": (*_EDGES, *_JUNK, "0.5"),
@@ -673,6 +686,15 @@ class TestSimulateOutputs:
         row = next(csv.DictReader(io.StringIO(out)))
         assert (row["verdict"], row["error_count"]) == ("accepted", "0")
 
+    def test_window_wider_than_any_float(self, capsys):
+        # (eps -/+ c eps^2) m overflows to -inf and inf, which clamp to 0 and m
+        code, out, err = run_cli(
+            ["simulate", "--n", "1000", "--m", "1000", "--epsilon", "0.5",
+             "--threshold-mode", "window", "--c", "1e308"], capsys)
+        assert code == 0, err
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert rows and all(row["verdict"] == "accepted" for row in rows)
+
 
 class TestBounds:
     def test_single_point_payload(self, capsys):
@@ -717,6 +739,14 @@ class TestBounds:
         assert code == 2
         assert "config error: N must be positive" in err
         assert not grid.exists()
+
+    def test_single_point_counts_the_atypical_subspace_once(self, monkeypatch, capsys):
+        """The chain's report is the one producer of the exact atypical count."""
+        calls, count = [], bounds.atypical_count_exact
+        monkeypatch.setattr(bounds, "atypical_count_exact",
+                            lambda *args: calls.append(args) or count(*args))
+        assert run_cli(["bounds", "--n", "2000", "--epsilon", "0.05"], capsys)[0] == 0
+        assert calls == [(2000, 200)]
 
 
 class TestAttackEval:
@@ -943,7 +973,8 @@ class TestBenchmarkBindings:
 # Public names only tests read, each with the reason it stays in src/.
 TEST_ONLY_NAMES = {
     "adversary.typicality_split": "kept for the planned check that passing confines "
-                                  "an attack to the atypical subspace",
+                                  "an attack to the atypical subspace, at a threshold "
+                                  "the check picks",
     "adversary.error_count_distribution": "the exact per-plan error-count law that c05 "
                                           "and the rotation tests read",
 }

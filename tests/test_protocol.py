@@ -237,7 +237,7 @@ class TestEprSession:
             written.append(axes)
             new += tercile_counts(tr.outcome_a != tr.outcome_b, axes)
             rng = stream(531, s)
-            labels, _ = substitute_pairs(chan.sample_labels(n, rng), atk, rng)
+            labels = substitute_pairs(chan.sample_labels(n, rng), atk, rng)
             axes, a, b = whole_array_outcomes(labels, rng)
             old += tercile_counts(a != b, axes)
         total = sessions * n
