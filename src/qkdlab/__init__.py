@@ -14,7 +14,7 @@ One simulation trial, session plus distillation, is
 from .adversary import CoherentAttack, InterceptResend, SubstituteAttack
 from .bounds import atypical_dim_chain
 from .channel import ChannelModel
-from .errors import ConfigError, RegimeError, UndersamplingError
+from .errors import ConfigError, RegimeError
 from .postprocess import distill_key
 from .protocol import SessionConfig, run_bb84_session, run_epr_session
 from .rng import stream
@@ -29,7 +29,6 @@ __all__ = [
     "RegimeError",
     "SessionConfig",
     "SubstituteAttack",
-    "UndersamplingError",
     "atypical_dim_chain",
     "distill_key",
     "run_bb84_session",

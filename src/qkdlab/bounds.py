@@ -212,6 +212,8 @@ def eve_info_upper(report: BoundReport, theta: float = 0.0) -> float:
 def secrecy_lower_bound(eps: float, kprime: float = 10.0) -> float:
     """Secrecy-rate lower bound max(0, 1 + k' eps log2 eps), eps in [0, 1/4)."""
     eps = float(eps)
+    if math.isnan(eps):
+        raise ConfigError("epsilon must be a number, got nan")
     if not 0.0 <= eps < 0.25:
         raise RegimeError(f"epsilon {eps} outside the validity regime [0, 1/4)")
     check_kprime(kprime)

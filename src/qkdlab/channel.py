@@ -4,8 +4,8 @@ A :class:`ChannelModel` of singlet fidelity F delivers the singlet with
 probability F and each of the three triplet Bell states with probability
 (1 - F)/3 (:meth:`ChannelModel.sample_labels`).  When both halves of a pair
 are measured along a common random axis the outcomes are antiparallel with
-probability (1 + 2F)/3, so the error rate of the ideal-singlet protocol
-(``epsilon``; :meth:`ChannelModel.from_epsilon` inverts it) is
+probability (1 + 2F)/3, so the error rate of the ideal-singlet protocol,
+from which :meth:`ChannelModel.from_epsilon` builds the channel, is
 
     epsilon = 1 - (1 + 2F)/3 = (2/3) (1 - F).
 
@@ -111,11 +111,6 @@ class ChannelModel:
         if not 0.0 <= eps <= EPSILON_MAX + 1e-12:
             raise ConfigError(f"no Werner fidelity exists for error rate {eps}")
         return cls(max(0.0, 1.0 - 1.5 * eps))
-
-    @property
-    def epsilon(self) -> float:
-        """Error rate (2/3)(1 - F) of the singlet-based protocol."""
-        return 2.0 * (1.0 - self.fidelity) / 3.0
 
     def sample_labels(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Sample ``n`` Bell labels (0 = singlet, 1..3 = triplets) from the mixture."""

@@ -84,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--protocol", choices=("epr", "bb84"), default="epr")
     sim.add_argument("--n", type=int, default=1000, help="pairs/photons per session")
     sim.add_argument("--m", type=int, default=100, help="test size in 1..n (bb84 ignores it)")
-    sim.add_argument("--fidelity", type=float, default=None)
     sim.add_argument("--epsilon", type=float, default=None, help="channel error rate")
     sim.add_argument("--omega", type=float, default=0.5, help="diagonal-basis probability")
     sim.add_argument("--attack", default="none",
@@ -182,7 +181,6 @@ def _load_attack_file(path) -> CoherentAttack:
 
 def _parse_attack(spec, attack_file):
     """The attack named by an ``--attack`` string; None for "none"."""
-    spec = str(spec)
     kind, sep, arg = spec.partition(":")
     if attack_file and spec != "coherent":
         raise ConfigError("--attack-file is read only with --attack coherent")
@@ -202,17 +200,6 @@ def _parse_attack(spec, attack_file):
             raise ConfigError("--attack coherent requires --attack-file")
         return _load_attack_file(attack_file)
     raise ConfigError(f"unknown attack {spec!r}")
-
-
-def _resolve_channel(fidelity, epsilon) -> tuple[ChannelModel, float]:
-    """The channel and its error rate: ``epsilon`` as given, or else the
-    rate the fidelity implies (a noiseless channel when neither is given)."""
-    if fidelity is not None and epsilon is not None:
-        raise ConfigError("give either fidelity or epsilon, not both")
-    if epsilon is not None:
-        return ChannelModel.from_epsilon(float(epsilon)), float(epsilon)
-    chan = ChannelModel(1.0 if fidelity is None else float(fidelity))
-    return chan, chan.epsilon
 
 
 def _fmt(value) -> str:
@@ -282,7 +269,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ConfigError(f"trials must be positive, got {args.trials}")
     check_kprime(args.kprime)
-    chan, eps = _resolve_channel(args.fidelity, args.epsilon)
+    eps = 0.0 if args.epsilon is None else args.epsilon
+    chan = ChannelModel.from_epsilon(eps)
     attack = _parse_attack(args.attack, args.attack_file)
     config = SessionConfig(
         n_pairs=args.n,

@@ -7,7 +7,3 @@ class ConfigError(ValueError):
 
 class RegimeError(ValueError):
     """A quantity lies outside the validity regime of a bound or formula."""
-
-
-class UndersamplingError(ConfigError):
-    """Too few basis-matched positions to assemble the requested test sets."""

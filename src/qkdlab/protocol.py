@@ -57,7 +57,7 @@ from .adversary import (
     substitute_pairs,
 )
 from .channel import ChannelModel
-from .errors import ConfigError, UndersamplingError
+from .errors import ConfigError
 from .qstate import AXIS_X, AXIS_Z, BELL_BASIS, measure_pair, random_axes, spin_frames
 from .rng import stream
 
@@ -331,8 +331,8 @@ def run_bb84_session(
     positions: k of each, where k is the smaller matched count (so for small
     omega every diagonal match is consumed by the test and the key is built
     from rectilinear positions).  A session with no matched positions in one
-    of the classes aborts with an undersampling error rather than running a
-    one-sided test.
+    of the classes aborts with a ConfigError rather than running a one-sided
+    test.
     """
     _check_attack(attack, (InterceptResend,), "bb84")
     n = config.n_pairs
@@ -363,7 +363,7 @@ def run_bb84_session(
     rect_matched = np.flatnonzero(matched & (basis_a == 0))
     k = min(diag_matched.size, rect_matched.size)
     if k == 0:
-        raise UndersamplingError(
+        raise ConfigError(
             f"cannot form a two-basis test: {diag_matched.size} diagonal-matched "
             f"and {rect_matched.size} rectilinear-matched positions"
         )

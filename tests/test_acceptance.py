@@ -228,7 +228,7 @@ def test_c09_secrecy_rate_approaches_unity():
     s4 = secrecy_lower_bound(1e-4)
     assert 0.0 < s2 < s3 < s4 < 1.0
     assert 1.0 - s4 < 15 * 10.0 * 1e-4
-    assert 1.0 - ChannelModel(0.25).epsilon == 0.5
+    assert ChannelModel.from_epsilon(0.5).fidelity == 0.25
 
 
 def test_c10_information_disturbance_tradeoff():

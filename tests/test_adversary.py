@@ -111,30 +111,22 @@ class TestInterceptResend:
         agree = (tr.eve_bits[rect] == tr.outcome_a[rect]).mean()
         assert agree == pytest.approx(0.5, abs=3 * 0.5 / math.sqrt(rect.sum()))
 
-    def test_sixteen_case_qber_oracle(self):
-        """Exact projector enumeration of the sifted error rate: 1/4."""
-        bases = {}
-        for name, axis in (("rect", Z), ("diag", X)):
-            up, down = spin_projectors(axis)
-            e0 = np.linalg.eigh(up)[1][:, -1]
-            e1 = np.linalg.eigh(down)[1][:, -1]
-            bases[name] = (e0, e1)
-        total = 0.0
-        cases = 0
-        for a_basis in ("rect", "diag"):
-            for a_bit in (0, 1):
-                sent = bases[a_basis][a_bit]
-                for e_basis in ("rect", "diag"):
-                    p_err = 0.0
-                    for e_bit in (0, 1):
-                        e_state = bases[e_basis][e_bit]
-                        p_eve = abs(np.vdot(e_state, sent)) ** 2
-                        wrong = bases[a_basis][1 - a_bit]
-                        p_err += p_eve * abs(np.vdot(wrong, e_state)) ** 2
-                    total += p_err
-                    cases += 1
-        assert cases == 8  # 4 Alice preparations x 2 Eve bases
-        assert total / cases == pytest.approx(0.25, abs=1e-12)
+    @pytest.mark.parametrize("policy", ["rectilinear", "diagonal"])
+    def test_single_basis_eve_caught_at_biased_bases(self, policy):
+        """At omega = 0.1 the test still takes as many diagonal-matched as
+        rectilinear-matched positions, so an Eve who measures in one basis
+        shows an error rate near 1/4 whichever basis she picks.  A test drawn
+        uniformly from the sifted set would be ~99 % rectilinear and would see
+        a rectilinear Eve only through ~0.6 % extra errors."""
+        config = SessionConfig(20_000, 1, 0.01, omega=0.1)
+        for seed in range(5):
+            tr = run_bb84_session(config, ChannelModel.from_epsilon(0.01),
+                                  InterceptResend(policy), stream(440 + seed))
+            assert tr.verdict == "rejected"
+            diag = tr.basis_a == 1
+            assert np.count_nonzero(tr.in_test & diag) == np.count_nonzero(tr.in_test & ~diag)
+            sigma = math.sqrt(0.25 * 0.75 / tr.test_size)
+            assert abs(tr.error_rate_estimate - 0.25) <= 4 * sigma
 
     def test_policy_validation(self):
         with pytest.raises(ConfigError):

@@ -19,7 +19,7 @@ from qkdlab.bounds import (
     secrecy_lower_bound,
 )
 from qkdlab.channel import ChannelModel, sample_common_axis_outcomes
-from qkdlab.errors import RegimeError
+from qkdlab.errors import ConfigError, RegimeError
 from qkdlab.qstate import random_axes
 from qkdlab.rng import stream
 
@@ -254,6 +254,10 @@ class TestSecrecyLowerBound:
             secrecy_lower_bound(0.25)
         with pytest.raises(RegimeError):
             secrecy_lower_bound(-0.01)
+
+    def test_nan_is_a_config_error(self):
+        with pytest.raises(ConfigError):
+            secrecy_lower_bound(math.nan)
 
 
 @dataclass(frozen=True)

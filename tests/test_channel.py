@@ -48,19 +48,21 @@ class TestWernerState:
 
 
 class TestFidelityDictionary:
+    """``from_epsilon`` inverts the rule epsilon = (2/3)(1 - F)."""
+
     def test_antiparallel_examples(self):
-        assert 1 - ChannelModel(1.0).epsilon == pytest.approx(1.0)
-        assert 1 - ChannelModel(0.25).epsilon == pytest.approx(0.5)
-        assert 1 - ChannelModel(0.97).epsilon == pytest.approx(0.98)
+        # antiparallel probability 1 - epsilon = (1 + 2F)/3
+        for f, anti in ((1.0, 1.0), (0.25, 0.5), (0.97, 0.98)):
+            assert ChannelModel.from_epsilon(1 - anti).fidelity == pytest.approx(f)
 
     def test_epsilon_examples(self):
-        assert ChannelModel(1.0).epsilon == pytest.approx(0.0)
-        assert ChannelModel(0.97).epsilon == pytest.approx(0.02)
+        assert ChannelModel.from_epsilon(0.0).fidelity == pytest.approx(1.0)
+        assert ChannelModel.from_epsilon(0.02).fidelity == pytest.approx(0.97)
         assert ChannelModel.from_epsilon(0.5).fidelity == pytest.approx(0.25)
 
     def test_round_trip_grid(self):
         for f in np.linspace(0.0, 1.0, 100):
-            eps = ChannelModel(f).epsilon
+            eps = 2 * (1 - f) / 3
             assert ChannelModel.from_epsilon(eps).fidelity == pytest.approx(f, abs=1e-12)
 
     def test_inversion_rejects_impossible_rate(self):
@@ -71,8 +73,7 @@ class TestFidelityDictionary:
     def test_channel_model_accessors(self):
         chan = ChannelModel.from_epsilon(0.02)
         assert chan.fidelity == pytest.approx(0.97)
-        assert chan.epsilon == pytest.approx(0.02)
-        assert 1 - ChannelModel(chan.fidelity).epsilon == pytest.approx(0.98)
+        assert 2 * (1 - chan.fidelity) / 3 == pytest.approx(0.02)
 
 
 class TestLabelSampling:

@@ -66,10 +66,12 @@ class TestExitCodes:
         assert code == 2
         assert "epsilon" in err.lower() or "error rate" in err.lower()
 
-    def test_fidelity_and_epsilon_conflict(self, capsys):
-        code, _, err = run_cli(
-            ["simulate", "--fidelity", "0.9", "--epsilon", "0.02"], capsys)
-        assert code == 2
+    def test_simulate_has_no_fidelity_flag(self, capsys):
+        """simulate names its channel by --epsilon only; argparse rejects --fidelity."""
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--fidelity", "0.9"])
+        assert exc.value.code == 2
+        assert "--fidelity" in capsys.readouterr().err
 
     def test_unknown_attack(self, capsys):
         # attack names match whole, not by prefix
@@ -107,7 +109,7 @@ SCENARIO_MISTAKES = {
     "string_as_number": {"summary": 0},
     "null_without_none_default": {"omega": None},
     # integers past the float range, for each float flag a run reads
-    **{f"huge_int_{key}": {key: 10**400} for key in ("epsilon", "fidelity", "c", "kprime")},
+    **{f"huge_int_{key}": {key: 10**400} for key in ("epsilon", "c", "kprime")},
 }
 
 
@@ -220,7 +222,7 @@ class TestConfigMistakes:
     def test_scenario_values_of_the_right_type_run(self, tmp_path, capsys):
         scen = tmp_path / "scen.json"
         scen.write_text(json.dumps({"n": 200, "m": 20, "epsilon": 0, "kprime": 5,
-                                    "threshold_mode": "window", "fidelity": None}))
+                                    "threshold_mode": "window", "attack_file": None}))
         assert run_cli(["simulate", "--scenario", str(scen)], capsys)[0] == 0
 
     def test_scenario_numbers_take_their_flag_type(self, tmp_path, capsys):
@@ -662,6 +664,10 @@ class TestSimulateOutputs:
         assert "bogus_knob" in err
         scen.write_text(json.dumps({"protocol": "b92"}))
         assert run_cli(["simulate", "--scenario", str(scen)], capsys)[0] == 2
+        scen.write_text(json.dumps({"fidelity": 0.97}))  # simulate has no --fidelity
+        code, _, err = run_cli(["simulate", "--scenario", str(scen)], capsys)
+        assert code == 2
+        assert "'fidelity'" in err
 
     def test_coherent_attack_records_holevo(self, tmp_path, capsys):
         atk = write_attack_file(tmp_path / "atk.txt", 4)

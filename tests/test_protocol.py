@@ -19,7 +19,7 @@ from qkdlab.adversary import (
     substitute_pairs,
 )
 from qkdlab.channel import ChannelModel
-from qkdlab.errors import ConfigError, UndersamplingError
+from qkdlab.errors import ConfigError
 from qkdlab.protocol import (
     EQUIVALENCE_ATOL,
     SessionConfig,
@@ -383,7 +383,7 @@ class TestBb84Session:
 
     def test_undersampling_aborts(self):
         cfg = SessionConfig(1000, 1, 0.01, omega=1.0)
-        with pytest.raises(UndersamplingError):
+        with pytest.raises(ConfigError):
             run_bb84_session(cfg, ChannelModel(1.0), None, stream(519))
 
     def test_substitute_not_applicable(self):
