@@ -100,7 +100,7 @@ def substitute_pairs(
     The remaining positions keep their input labels, so composing with a
     noisy channel means sampling the input stream from that channel.
     """
-    labels = np.array(labels, dtype=np.int64, copy=True)
+    labels = np.array(labels, copy=True)
     n = labels.shape[0]
     count = int(round(attack.fraction * n))
     if count:

@@ -2,10 +2,13 @@
 
 A :class:`ChannelModel` of singlet fidelity F delivers the singlet with
 probability F and each of the three triplet Bell states with probability
-(1 - F)/3 (:meth:`ChannelModel.sample_labels`).  When both halves of a pair
-are measured along a common random axis the outcomes are antiparallel with
-probability (1 + 2F)/3, so the error rate of the ideal-singlet protocol,
-from which :meth:`ChannelModel.from_epsilon` builds the channel, is
+(1 - F)/3.  :meth:`ChannelModel.sample_labels` inverts one uniform draw
+per pair through the cdf of that law, which gives the same labels from
+the same draws as ``rng.choice(4, p=...)``, as uint8.  When both halves
+of a pair are measured along a common random axis the outcomes are
+antiparallel with probability (1 + 2F)/3, so the error rate of the
+ideal-singlet protocol, from which :meth:`ChannelModel.from_epsilon`
+builds the channel, is
 
     epsilon = 1 - (1 + 2F)/3 = (2/3) (1 - F).
 
@@ -113,5 +116,17 @@ class ChannelModel:
         return cls(max(0.0, 1.0 - 1.5 * eps))
 
     def sample_labels(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Sample ``n`` Bell labels (0 = singlet, 1..3 = triplets) from the mixture."""
-        return rng.choice(4, size=n, p=label_probs(self.fidelity))
+        """Sample ``n`` Bell labels (0 = singlet, 1..3 = triplets) from the mixture.
+
+        Each label inverts one uniform ``rng.random(n)`` draw through the
+        normalized cdf of :func:`label_probs`: it counts the cdf entries
+        at or below the draw.  These are the draws and the labels of
+        ``rng.choice(4, size=n, p=label_probs(F))``, returned as uint8.
+        """
+        cdf = label_probs(self.fidelity).cumsum()
+        cdf /= cdf[-1]
+        u = rng.random(n)
+        labels = (u >= cdf[0]).view(np.uint8)
+        labels += u >= cdf[1]
+        labels += u >= cdf[2]  # cdf[3] is 1, above every draw
+        return labels

@@ -59,6 +59,13 @@ def reconcile(
     O(d) rather than O(n).  So a pass with d > 0 makes exactly that one
     draw, its i-th image being that of the i-th smallest disagreeing
     position, and a pass with d = 0 draws nothing.
+
+    Each search carries, beside its range [lo, hi), the index ``first``
+    of the first sorted image at or above ``lo``.  A level then needs one
+    ``searchsorted``, that of the midpoint: the images in [lo, mid) are
+    the indices first .. first_right - 1, and ``first`` moves to
+    ``first_right`` when the search goes right.  A finished search's
+    ``first`` indexes the image it found.
     """
     a = np.asarray(key_a, dtype=np.uint8)
     b = np.asarray(key_b, dtype=np.uint8)
@@ -94,14 +101,18 @@ def reconcile(
             # ends, so all odd blocks bisect together, one level per step;
             # a finished block (hi - lo == 1) has mid == lo and stays put
             hi = np.minimum(lo + block, n)
+            first = np.searchsorted(img, lo)
             while (steps := int(np.count_nonzero(hi - lo > 1))) > 0:
                 leaked += steps
                 mid = (lo + hi) // 2
-                left = (np.searchsorted(img, mid) - np.searchsorted(img, lo)) & 1 == 1
+                first_right = np.searchsorted(img, mid)
+                left = (first_right - first) & 1 == 1
                 hi = np.where(left, mid, hi)
                 lo = np.where(left, lo, mid)
-            # each search ends on an image; its disagreement is corrected
-            wrong = np.delete(wrong, order[np.searchsorted(img, lo)])
+                first = np.where(left, first, first_right)
+            # each search ends on the one image in [lo, lo + 1), img[first];
+            # its disagreement is corrected
+            wrong = np.delete(wrong, order[first])
         block = min(block_cap, 2 * block)
     out = a.copy()
     out[wrong] ^= 1

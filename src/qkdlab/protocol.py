@@ -232,7 +232,7 @@ def _conclude(config, outcome_a, outcome_b, key_b, in_test, sifted, **extra) -> 
     m = int(np.count_nonzero(in_test))
     errors = int(np.count_nonzero((outcome_a != key_b) & in_test))
     lo, hi = accepted_count_interval(config, m)
-    keep = sifted & ~in_test
+    keep = np.flatnonzero(sifted & ~in_test)
     return Transcript(
         verdict="accepted" if lo <= errors <= hi else "rejected",
         observed_error_count=errors,
@@ -295,11 +295,13 @@ def run_epr_session(
         singlet = labels == 0
         noisy = np.flatnonzero(~singlet)
         noisy_axes = random_axes(noisy.size, rng)
-        outcome_a[noisy], outcome_b[noisy] = channel_mod.sample_common_axis_outcomes(
+        noisy_a, noisy_b = channel_mod.sample_common_axis_outcomes(
             labels[noisy], noisy_axes, rng)
-        # a singlet's outcome is uniform and antiparallel along every axis
-        bits = rng.integers(0, 2, size=n - noisy.size, dtype=np.uint8)
-        outcome_a[singlet], outcome_b[singlet] = bits, bits ^ 1
+        # a singlet's outcome is uniform and antiparallel along every axis;
+        # Bob's complement is taken whole and the noisy pairs overwrite it
+        outcome_a[singlet] = rng.integers(0, 2, size=n - noisy.size, dtype=np.uint8)
+        np.bitwise_xor(outcome_a, 1, out=outcome_b)
+        outcome_a[noisy], outcome_b[noisy] = noisy_a, noisy_b
         axes_seed = int(rng.integers(0, 2**63))
 
         def draw_axes() -> np.ndarray:

@@ -8,14 +8,16 @@ Born weights off the norms of the projected branches.
 
 It also keeps the whole-array Werner-pair sampler that
 :func:`qkdlab.protocol.run_epr_session` replaced: an axis for every pair,
-singlets included, then every pair's outcomes from its label and axis.
+singlets included, then every pair's outcomes from its label and axis;
+and the label sampler that :meth:`qkdlab.channel.ChannelModel.sample_labels`
+replaced, numpy's own weighted choice.
 """
 
 import math
 
 import numpy as np
 
-from qkdlab.channel import sample_common_axis_outcomes
+from qkdlab.channel import label_probs, sample_common_axis_outcomes
 from qkdlab.qstate import random_axes
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -125,3 +127,8 @@ def whole_array_outcomes(
     measured along its own uniform axis, drawn for every pair."""
     axes = random_axes(labels.shape[0], rng)
     return (axes, *sample_common_axis_outcomes(labels, axes, rng))
+
+
+def choice_labels(fidelity: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` Bell labels of a channel of singlet ``fidelity`` by ``rng.choice``."""
+    return rng.choice(4, size=n, p=label_probs(fidelity))

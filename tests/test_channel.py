@@ -13,6 +13,7 @@ from qkdlab.errors import ConfigError
 from qkdlab.qstate import BELL_BASIS, random_axes
 from qkdlab.rng import stream
 from physics import fidelity, random_rotation, werner_state
+from reference import choice_labels
 
 
 class TestWernerState:
@@ -100,6 +101,17 @@ class TestLabelSampling:
         rng = stream(205)
         draws = [int(ChannelModel(0.5).sample_labels(1, rng)[0]) for _ in range(200)]
         assert set(draws) <= {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("f", [0.0, 0.25, 0.97, 1.0])
+    @pytest.mark.parametrize("n", [1, 7, 10 ** 5])
+    def test_same_labels_and_draws_as_choice(self, f, n):
+        """``sample_labels`` returns ``rng.choice``'s labels, as uint8, and
+        leaves the stream where ``rng.choice`` leaves it."""
+        ours, theirs = stream(206, n), stream(206, n)
+        labels = ChannelModel(f).sample_labels(n, ours)
+        assert labels.dtype == np.uint8
+        assert np.array_equal(labels, choice_labels(f, n, theirs))
+        assert ours.random() == theirs.random()
 
 
 class TestPerAxisStatistics:

@@ -1,5 +1,6 @@
 """Tests for session state machines, windows, and the two constructions."""
 
+import hashlib
 import json
 import math
 
@@ -470,6 +471,47 @@ class TestTranscriptSerialization:
         assert {r["basis_a"] for r in rows} <= {"R", "D"}
         sifted = [r for r in rows if r["sifted"]]
         assert all(r["basis_a"] == r["basis_b"] for r in sifted)
+
+
+README_EPS = 0.02
+PINNED_FIELDS = ("outcome_a", "outcome_b", "in_test", "sifted_key_a", "sifted_key_b")
+
+
+class TestReadmeSizePins:
+    """SHA-256 of every per-position array of a session at the README size
+    (10**5 pairs, 10**4 tested, eps 0.02), so a faster sampler or gather
+    must reproduce each drawn number."""
+
+    @pytest.mark.parametrize("protocol_name, attack, seed, digests", [
+        ("epr", None, 531, (
+            "bf8e9417e6a2cfebb7a7b5bfbd11b1b1bff54723a7ffedc40e2da1414a51d69b",
+            "a65127ed41a87910cde8eabe537306de1e74285dd71c4aeb76254d4ea62509ed",
+            "0da16f1120f63eb53b4de13f90aa3aaddbbcea23cc7d62f73002243a0ab2f059",
+            "fdffc23e98a69661a9974290083ec1cf2f7bf650996b237aa9d9128886b286d6",
+            "a2035785e1bcc642e8132dcd4d500f9eae1d9ed59960fc05a7a2bad81de04011",
+        )),
+        ("epr", SubstituteAttack(0.005), 532, (
+            "bc209b78c9f89b496659bb26553717b94ea33039d6a9618282cf28395830e069",
+            "7774b8fd24b32704a92c150c9e30a0419d44ff8a6408ab480705cb7385155a20",
+            "90a5ea5b530199dc1caf34ced53c16f4194d4bdc4626c4fc1d4c4fbaa5a7acad",
+            "3500616ac9c359ebf304266907f21cf47acf748e83a826e157caef0e308476e2",
+            "031c2d598f7e2604995ab07e0efd18be0696e14b62cbfcafbd223bfdd3ea337f",
+        )),
+        ("bb84", InterceptResend("random"), 533, (
+            "29b426f33f192b6c1ac778d5653fa02dadcaac1affc577158a0f0ec3a313c076",
+            "2d65b26fa15541a95cd27b6ba9364112bec0a3e8f210e8654c6a1d44ac605ec1",
+            "fbdd3e00fa6b77962057869f49b79f30b9221ee2832f981a488aaaa92132ff46",
+            "7a5665104b690a14afc19df6dfb357a889f524e4fd6851e690c3b1304dc0a474",
+            "a99116892befc460dc75a42a76fb2e61aecc936844c5f15541c35d8a2f6b2252",
+        )),
+    ])
+    def test_session_arrays_pinned(self, protocol_name, attack, seed, digests):
+        session = run_epr_session if protocol_name == "epr" else run_bb84_session
+        cfg = SessionConfig(10**5, 10**4, README_EPS, omega=0.1)  # only bb84 reads omega
+        tr = session(cfg, ChannelModel.from_epsilon(README_EPS), attack, stream(seed))
+        arrays = [getattr(tr, name) for name in PINNED_FIELDS]
+        assert [a.dtype for a in arrays] == [np.uint8, np.uint8, bool, np.uint8, np.uint8]
+        assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) == digests
 
 
 class TestEquivalence:
