@@ -47,10 +47,7 @@ def log2_int(n: int) -> float:
     """log2 of a positive integer of arbitrary size."""
     if n <= 0:
         raise ValueError("log2 of a non-positive integer")
-    bits = n.bit_length()
-    if bits <= 53:
-        return math.log2(n)
-    shift = bits - 53
+    shift = max(0, n.bit_length() - 53)
     return math.log2(n >> shift) + shift
 
 
@@ -74,6 +71,10 @@ def atypical_count_exact(n_pairs: int, threshold: int) -> int:
 def _check_regime(n_pairs: int, eps: float) -> None:
     if n_pairs < 1:
         raise ConfigError(f"N must be positive, got {n_pairs}")
+    try:
+        float(n_pairs)
+    except OverflowError:
+        raise ConfigError(f"N of {n_pairs.bit_length()} bits is past the float range") from None
     if math.isnan(eps):
         raise ConfigError("epsilon must be a number, got nan")
     if not 0.0 < eps < 0.25:

@@ -78,6 +78,8 @@ class SessionConfig:
     def __post_init__(self) -> None:
         if self.n_pairs < 1:
             raise ConfigError(f"n_pairs must be positive, got {self.n_pairs}")
+        if self.n_pairs > np.iinfo(np.intp).max:
+            raise ConfigError(f"n_pairs {self.n_pairs} exceeds numpy's largest array length")
         if not 1 <= self.test_size <= self.n_pairs:
             raise ConfigError(
                 f"test_size must lie in 1..{self.n_pairs}, got {self.test_size}"

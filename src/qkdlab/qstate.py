@@ -64,7 +64,7 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"matrix shape {m.shape} is not square")
-        if not np.allclose(m, m.conj().T, atol=NORM_ATOL):
+        if not np.allclose(m, m.conj().T, rtol=0.0, atol=NORM_ATOL):
             raise ValueError("matrix is not Hermitian within 1e-9")
         tr = np.trace(m).real
         if abs(tr - 1.0) > NORM_ATOL:
@@ -124,8 +124,9 @@ def measure_pair(
 
     ``amps`` is a raw amplitude array, the pair's Bell label most significant.
     The joint outcome is drawn once from the Born weights of the four
-    rotated rows (see :func:`rotate_pairs`).  Returns (outcome_a, outcome_b,
-    the normalized amplitudes of everything after the pair).
+    rotated rows (see :func:`rotate_pairs`), and the drawn row is divided by
+    the square root of its own weight.  Returns (outcome_a, outcome_b, the
+    normalized amplitudes of everything after the pair).
     """
     rotated = rotate_pairs(np.reshape(amps, (4, -1)), np.reshape(axis, (1, -1)))
     probs = np.einsum("rc,rc->r", rotated.conj(), rotated).real
@@ -133,21 +134,19 @@ def measure_pair(
     if abs(total - 1.0) > 1e-6:
         raise RuntimeError(f"outcome probabilities sum to {total}, expected 1")
     idx = int(rng.choice(4, p=probs / total))
-    row = rotated[idx]
-    norm = np.linalg.norm(row)
+    norm = math.sqrt(probs[idx])
     if norm < 1e-12:
         raise RuntimeError("projection onto a sampled outcome has vanishing norm")
-    return idx // 2, idx % 2, row / norm
+    return idx // 2, idx % 2, rotated[idx] / norm
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy -Tr(rho log2 rho) in bits.
 
-    Negative eigenvalues, no lower than -1e-6 since :class:`DensityMatrix`
-    checked them, are clamped to zero.
+    Eigenvalues that are not positive, none below -1e-6 since
+    :class:`DensityMatrix` checked them, are dropped.
     """
     vals = np.linalg.eigvalsh((rho.matrix + rho.matrix.conj().T) / 2.0)
-    vals = np.clip(vals, 0.0, None)
     vals = vals[vals > 0.0]
     ent = float(-(vals * np.log2(vals)).sum())
     return ent if ent > 0.0 else 0.0

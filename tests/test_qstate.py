@@ -282,6 +282,11 @@ class TestEntropy:
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([1.2, -0.2]))
 
+    def test_rejects_asymmetry_above_1e9(self):
+        """Hermiticity is checked within 1e-9 absolute, whatever the entries' size."""
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DensityMatrix(np.array([[0.5, 0.5 + 1e-7], [0.5, 0.5]]))
+
     def test_rejects_non_square(self):
         for m in (np.ones(4) / 4, np.ones((2, 3)) / 2):
             with pytest.raises(ValueError, match="not square"):
