@@ -4,9 +4,9 @@ The central object is the "atypical" subspace of N pair slots at error
 rate epsilon: the span of Bell-product vectors carrying fewer than
 T = ceil(2 N epsilon) non-singlet slots.  The accessible information of an
 attack supported there is capped by the log of the subspace dimension;
-passing a test does not confine an attack to it (see
-:func:`eve_info_upper`).  This module computes the
-exact dimension and the chain of increasingly generous closed-form bounds
+passing a test does not confine an attack to it (see :func:`eve_info_upper`).
+This module computes the exact dimension and the chain of increasingly
+generous bounds (:func:`atypical_counts` counts exact and L1 in one pass)
 
     exact <= L1 <= L2 <= L3 <= L4 = L5,
 
@@ -23,7 +23,6 @@ max(0, 1 + k' eps log2 eps).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import asdict, dataclass
 
 from .errors import ConfigError, RegimeError
@@ -51,7 +50,6 @@ def log2_int(n: int) -> float:
     return math.log2(n >> shift) + shift
 
 
-
 def atypical_threshold(n_pairs: int, eps: float) -> int:
     """T = ceil(2 N eps), with protection against float fuzz at integers."""
     v = 2.0 * n_pairs * eps
@@ -59,13 +57,6 @@ def atypical_threshold(n_pairs: int, eps: float) -> int:
     if abs(v - nearest) < 1e-9:
         return int(nearest)
     return int(math.ceil(v))
-
-
-def atypical_count_exact(n_pairs: int, threshold: int) -> int:
-    """Number of Bell-product vectors on N slots with < T non-singlet slots."""
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
-    return sum(math.comb(n_pairs, k) * 3**k for k in range(min(threshold, n_pairs + 1)))
 
 
 def _check_regime(n_pairs: int, eps: float) -> None:
@@ -83,31 +74,36 @@ def _check_regime(n_pairs: int, eps: float) -> None:
         raise RegimeError(f"N*eps = {n_pairs * eps} below 1/2: too few expected errors")
 
 
-def _l1_exact(n_pairs: int, threshold: int) -> int:
-    # L1 counts the length-N words over {0,1,2,3} in which each of the
-    # letters 1, 2, 3 occurs fewer than T times: C(N,a) C(N-a,b) C(N-a-b,c)
-    # places a 1s, b 2s and c 3s.  Let s, m, k count such words over {0,1},
-    # {0,1,2} and {0,1,2,3}.  Appending a letter to a length-n word leaves
-    # the set only when that letter already occurs T-1 times, which happens
-    # in C(n,T-1) ways times a word over the other letters on n-T+1 slots:
-    #   s(n+1) = 2 s(n) - C(n,T-1)
-    #   m(n+1) = 3 m(n) - 2 C(n,T-1) s(n-T+1)
-    #   k(n+1) = 4 k(n) - 3 C(n,T-1) m(n-T+1)
-    # and L1 = k(N).  Only the last T values of s and m are kept.
-    if threshold <= 0:
-        return 0
-    s = m = k = 1
-    lagged = deque([(1, 1)], maxlen=threshold)  # (s(j), m(j)), j = n-T+1 .. n
-    c = 0  # C(n, T-1)
-    for n in range(n_pairs):
-        if n == threshold - 1:
-            c = 1
-        elif n >= threshold:
-            c = c * n // (n + 1 - threshold)
-        s_lag, m_lag = lagged[0]
-        s, m, k = 2 * s - c, 3 * m - 2 * c * s_lag, 4 * k - 3 * c * m_lag
-        lagged.append((s, m))
-    return k
+def atypical_counts(n_pairs: int, threshold: int) -> tuple[int, int]:
+    """The exact atypical dimension and L1 at (N, T), in one pass.
+
+    A length-N word over {0,1,2,3} is its j nonzero slots, C(N, j) ways,
+    times a word over {1,2,3} on those slots.  The exact count keeps the
+    words with j < T, each with 3^j fillings.  L1 keeps the words in which
+    each of 1, 2 and 3 occurs fewer than T times; call their fillings w(j).
+    Then w(j) = 3^j for j < T, and no such word has more than 3T - 3
+    nonzero letters.  Appending a letter to a length-j filling leaves the
+    set only when that letter already occurs T-1 times, which happens in
+    C(j, T-1) ways times a filling over the other letters on j-T+1 slots.
+    With v(j) the same count over two letters:
+      v(j+1) = 2 v(j) - 2 C(j, T-1) [j-T+1 < T]
+      w(j+1) = 3 w(j) - 3 C(j, T-1) v(j-T+1)
+    """
+    if threshold < 0:
+        raise ValueError("threshold must be nonnegative")
+    exact = l1 = 0
+    w, v, c_n, c_t = 1, [1], 1, 0  # w(j), v(0..j), C(N, j), C(j, T-1)
+    for j in range(min(n_pairs, 3 * threshold - 3) + 1):
+        l1 += c_n * w
+        if j < threshold:
+            exact = l1
+        lag = j - threshold + 1  # C(j, T-1) = 0 while lag < 0
+        if lag >= 0:
+            c_t = c_t * j // lag if lag else 1
+            w -= c_t * v[lag]
+        v.append(2 * (v[j] - c_t * (lag < threshold)))
+        c_n, w = c_n * (n_pairs - j) // (j + 1), 3 * w
+    return exact, l1
 
 
 @dataclass(frozen=True)
@@ -161,8 +157,7 @@ def atypical_dim_chain(n_pairs: int, eps: float) -> BoundReport:
     """
     _check_regime(n_pairs, eps)
     t = atypical_threshold(n_pairs, eps)
-    exact = atypical_count_exact(n_pairs, t)
-    l1 = _l1_exact(n_pairs, t)
+    exact, l1 = atypical_counts(n_pairs, t)
     l2 = t**3 * math.comb(n_pairs, t - 1) ** 3
     log2_l3 = 3.0 * math.log2(t) + 3.0 * n_pairs * binary_entropy((t - 1) / n_pairs)
     mu = 3.0 * math.log2(t**3) / n_pairs

@@ -1,6 +1,7 @@
 """Tests for entropy/counting bounds and the secrecy-rate floor."""
 
 import hashlib
+import json
 import math
 from dataclasses import dataclass, replace
 
@@ -10,8 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkdlab.bounds import (
-    _l1_exact,
-    atypical_count_exact,
+    atypical_counts,
     atypical_dim_chain,
     atypical_threshold,
     binary_entropy,
@@ -19,6 +19,7 @@ from qkdlab.bounds import (
     secrecy_lower_bound,
 )
 from qkdlab.channel import ChannelModel, sample_common_axis_outcomes
+from qkdlab.cli import main
 from qkdlab.errors import ConfigError, RegimeError
 from qkdlab.qstate import random_axes
 from qkdlab.rng import stream
@@ -34,6 +35,11 @@ def brute_l1(n, t):
                     math.comb(n, a) * math.comb(n - a, b) * math.comb(n - a - b, c)
                 )
     return total
+
+
+def sum_exact(n, t):
+    """Words with fewer than T nonzero letters: one sum of C(N,k) 3^k."""
+    return sum(math.comb(n, k) * 3**k for k in range(min(t, n + 1)))
 
 
 def comb_l1(n, t):
@@ -110,12 +116,12 @@ class TestBinomialEntropyInequality:
 
 class TestAtypicalCount:
     def test_trivial_threshold(self):
-        assert atypical_count_exact(7, 1) == 1
+        assert atypical_counts(7, 1)[0] == 1
 
     def test_hand_counts(self):
-        assert atypical_count_exact(4, 2) == 13
-        assert atypical_count_exact(20, 3) == 1771
-        assert atypical_count_exact(100, 2) == 301
+        assert atypical_counts(4, 2)[0] == 13
+        assert atypical_counts(20, 3)[0] == 1771
+        assert atypical_counts(100, 2)[0] == 301
 
     def test_threshold_rounding(self):
         assert atypical_threshold(100, 0.01) == 2
@@ -144,9 +150,11 @@ class TestDimChain:
     @settings(max_examples=200)
     @given(st.integers(0, 80).flatmap(
         lambda n: st.tuples(st.just(n), st.integers(0, (n + 2) // 2))))
+    @example((7, 0))
     def test_l1_recurrence_matches_triple_sum(self, point):
+        """Both counts of the one pass, T = 0 included, against their sums."""
         n, t = point
-        assert _l1_exact(n, t) == comb_l1(n, t)
+        assert atypical_counts(n, t) == (sum_exact(n, t), comb_l1(n, t))
 
     def test_l1_pinned_at_n2000_eps01(self):
         # SHA-256 of the decimal L1 (1153 digits) from the triple sum
@@ -154,6 +162,23 @@ class TestDimChain:
         assert rep.threshold == 400
         assert hashlib.sha256(str(rep.l1).encode()).hexdigest() == (
             "021bb0407844150efe43faade6d7fb9c040acfbedde75474575945d9db888054")
+
+    def test_chain_pinned_above_the_print_cap(self, capsys):
+        # SHA-256 of the hex integers (str() refuses L1 and L2: over 4,300
+        # digits), computed with the per-term sum and the per-slot recurrence
+        rep = atypical_dim_chain(40000, 0.02)
+        assert rep.threshold == 1600 and rep.chain_holds()
+        digests = {key: hashlib.sha256(format(getattr(rep, key), "x").encode()).hexdigest()
+                   for key in ("exact_count", "l1", "l2")}
+        assert digests == {
+            "exact_count": "6e9ef3fc4adfd142f2cb421b6e82fbfbf2e4718b3f01b41605b3e55906e8332a",
+            "l1": "a4bfb66f84e50855d9cc33f85c5e83d3cf26ac2de651298198abefadaba83ab3",
+            "l2": "730a2f19890364b46d0dc3e9e23e02a688d3c6f3fd01e69f280130c571770465",
+        }
+        assert main(["bounds", "--n", "40000", "--epsilon", "0.02"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["l1"], out["l2"]) == (None, None)
+        assert out["log2_l1"] == 28749.226215861014
 
     @settings(max_examples=60)
     @given(integer_threshold_points())

@@ -755,8 +755,8 @@ class TestBounds:
 
     def test_single_point_counts_the_atypical_subspace_once(self, monkeypatch, capsys):
         """The chain's report is the one producer of the exact atypical count."""
-        calls, count = [], bounds.atypical_count_exact
-        monkeypatch.setattr(bounds, "atypical_count_exact",
+        calls, count = [], bounds.atypical_counts
+        monkeypatch.setattr(bounds, "atypical_counts",
                             lambda *args: calls.append(args) or count(*args))
         assert run_cli(["bounds", "--n", "2000", "--epsilon", "0.05"], capsys)[0] == 0
         assert calls == [(2000, 200)]
