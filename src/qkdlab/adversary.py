@@ -16,7 +16,7 @@ Three attack families are modeled:
 For a test plan (which pairs are compared, along which axes, and how many
 parallel outcomes are tolerated) the module computes the exact passing
 probability, the attacker's ancilla state conditioned on passing, and the
-Holevo bound S(rho) on what she can learn from it (:func:`holevo_on_pass`).
+Holevo bound S(rho) on what she can learn from it (:func:`eve_info_bound`).
 
 A test of the pairs S sees only their reduced state rho_S.  The scoring
 reshapes the attack tensor into a matrix X whose rows run over the Bell
@@ -336,15 +336,10 @@ def conditional_ancilla_state(attack: CoherentAttack, plan: TestPlan) -> Density
     return DensityMatrix(mat.T @ mat.conj() / total)
 
 
-def eve_info_bound(rho: DensityMatrix) -> float:
-    """Holevo bound S(rho) in bits on information extractable from ``rho``."""
-    return von_neumann_entropy(rho)
-
-
-def holevo_on_pass(attack: CoherentAttack, plan: TestPlan) -> float | None:
-    """Holevo bound on the ancilla after the plan's test passes; None if it cannot pass."""
+def eve_info_bound(attack: CoherentAttack, plan: TestPlan) -> float | None:
+    """Holevo bound in bits on the ancilla after the plan's test passes; None if it cannot pass."""
     try:
-        return eve_info_bound(conditional_ancilla_state(attack, plan))
+        return von_neumann_entropy(conditional_ancilla_state(attack, plan))
     except RegimeError:
         return None
 

@@ -28,6 +28,9 @@ from dataclasses import asdict, dataclass
 from .errors import ConfigError, RegimeError
 
 CHAIN_ATOL = 1e-9  # float slack of the log2 links of the bound chain
+EPS_REGIME = 0.25  # the bounds hold for error rates below 1/4
+DEFAULT_KPRIME = 10.0  # the secrecy-rate constant k'
+MAX_CHAIN_WORK = 1e9  # steps times bits of the exact pass; 8.7e8, ~3 s, at (10^5, 0.02)
 # 2^14283 < 10^4300: an integer of at most this many bits prints within 4,300 digits
 MAX_PRINTED_INT_BITS = 14_283
 
@@ -68,7 +71,7 @@ def _check_regime(n_pairs: int, eps: float) -> None:
         raise ConfigError(f"N of {n_pairs.bit_length()} bits is past the float range") from None
     if math.isnan(eps):
         raise ConfigError("epsilon must be a number, got nan")
-    if not 0.0 < eps < 0.25:
+    if not 0.0 < eps < EPS_REGIME:
         raise RegimeError(f"epsilon {eps} outside the validity regime (0, 1/4)")
     if n_pairs * eps < 0.5 - 1e-12:
         raise RegimeError(f"N*eps = {n_pairs * eps} below 1/2: too few expected errors")
@@ -153,13 +156,17 @@ def atypical_dim_chain(n_pairs: int, eps: float) -> BoundReport:
     C(N, k) <= 2^(N H(k/N)) gives L3; H is increasing below 1/2 and
     (T-1)/N < 2 eps, so H((T-1)/N) <= H(2 eps) <= 2 H(eps) gives L4.  The
     report keeps exact integers where they are exact and log2 values
-    throughout.
+    throughout.  A point where the exact pass's min(N, 3T - 3) + 1 steps
+    times log2 L3 bits pass MAX_CHAIN_WORK is a ConfigError.
     """
     _check_regime(n_pairs, eps)
     t = atypical_threshold(n_pairs, eps)
+    log2_l3 = 3.0 * math.log2(t) + 3.0 * n_pairs * binary_entropy((t - 1) / n_pairs)
+    if (work := (min(n_pairs, 3 * t - 3) + 1) * log2_l3) > MAX_CHAIN_WORK:
+        raise ConfigError(f"N={n_pairs}, eps={eps} is past the feasible limit of the exact "
+                          f"count: {work:.3g} > {MAX_CHAIN_WORK:.3g} steps times bits")
     exact, l1 = atypical_counts(n_pairs, t)
     l2 = t**3 * math.comb(n_pairs, t - 1) ** 3
-    log2_l3 = 3.0 * math.log2(t) + 3.0 * n_pairs * binary_entropy((t - 1) / n_pairs)
     mu = 3.0 * math.log2(t**3) / n_pairs
     rate = 6.0 * binary_entropy(eps) + mu
     log2_l4 = n_pairs * rate
@@ -205,12 +212,12 @@ def eve_info_upper(report: BoundReport, theta: float = 0.0) -> float:
     return upper
 
 
-def secrecy_lower_bound(eps: float, kprime: float = 10.0) -> float:
+def secrecy_lower_bound(eps: float, kprime: float = DEFAULT_KPRIME) -> float:
     """Secrecy-rate lower bound max(0, 1 + k' eps log2 eps), eps in [0, 1/4)."""
     eps = float(eps)
     if math.isnan(eps):
         raise ConfigError("epsilon must be a number, got nan")
-    if not 0.0 <= eps < 0.25:
+    if not 0.0 <= eps < EPS_REGIME:
         raise RegimeError(f"epsilon {eps} outside the validity regime [0, 1/4)")
     check_kprime(kprime)
     if eps == 0.0:

@@ -32,9 +32,11 @@ from .adversary import (
     SubstituteAttack,
     TestPlan,
     axis_averaged_passing_probability,
-    holevo_on_pass,
+    eve_info_bound,
 )
 from .bounds import (
+    DEFAULT_KPRIME,
+    EPS_REGIME,
     RegimeError,
     atypical_dim_chain,
     check_kprime,
@@ -85,17 +87,18 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--n", type=int, default=1000, help="pairs/photons per session")
     sim.add_argument("--m", type=int, default=100, help="test size in 1..n (bb84 ignores it)")
     sim.add_argument("--epsilon", type=float, default=None, help="channel error rate")
-    sim.add_argument("--omega", type=float, default=0.5, help="diagonal-basis probability")
+    sim.add_argument("--omega", type=float, default=SessionConfig.omega,
+                     help="diagonal-basis probability")
     sim.add_argument("--attack", default="none",
                      help="none | intercept_resend[:policy] | substitute:FRACTION | coherent")
     sim.add_argument("--attack-file", dest="attack_file", default=None)
     sim.add_argument("--trials", type=int, default=1)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--c", type=float, default=1.0, help="window width coefficient")
+    sim.add_argument("--c", type=float, default=SessionConfig.window_coeff,
+                     help="window width coefficient")
     sim.add_argument("--threshold-mode", dest="threshold_mode",
-                     choices=("window", "two_epsilon"), default=None,
-                     help="default: two_epsilon when epsilon > 0, else window")
-    sim.add_argument("--kprime", type=float, default=10.0)
+                     choices=("window", "two_epsilon"), default=SessionConfig.threshold_mode)
+    sim.add_argument("--kprime", type=float, default=DEFAULT_KPRIME)
     sim.add_argument("--out", default=None, help="per-trial CSV path (default stdout)")
     sim.add_argument("--summary", default=None, help="summary JSON path")
     sim.add_argument("--transcript", default=None, help="JSONL transcript of trial 0")
@@ -104,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     bnd = sub.add_parser("bounds", help="counting bounds and secrecy rate")
     bnd.add_argument("--n", type=int, default=None)
     bnd.add_argument("--epsilon", type=float, default=None)
-    bnd.add_argument("--kprime", type=float, default=10.0)
+    bnd.add_argument("--kprime", type=float, default=DEFAULT_KPRIME)
     bnd.add_argument("--theta", type=float, default=0.0)
     bnd.add_argument("--grid-n", dest="grid_n", default=None, help="comma list of N values")
     bnd.add_argument("--grid-eps", dest="grid_eps", default=None, help="comma list of eps values")
@@ -251,7 +254,7 @@ def simulate_trial(
     if not (
         transcript.accepted
         and transcript.sifted_key_a.size > 0
-        and transcript.error_rate_estimate < 0.25
+        and transcript.error_rate_estimate < EPS_REGIME
     ):
         return transcript, None
     result = distill_key(
@@ -272,14 +275,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     eps = 0.0 if args.epsilon is None else args.epsilon
     chan = ChannelModel.from_epsilon(eps)
     attack = _parse_attack(args.attack, args.attack_file)
-    config = SessionConfig(
-        n_pairs=args.n,
-        test_size=args.m,
-        expected_error=eps,
-        window_coeff=args.c,
-        omega=args.omega,
-        threshold_mode=args.threshold_mode,
-    )
+    config = SessionConfig(args.n, args.m, eps, window_coeff=args.c, omega=args.omega,
+                           threshold_mode=args.threshold_mode)
 
     rows = []  # one tuple per trial, in CSV_COLUMNS order
     sifted_fractions = []
@@ -385,7 +382,7 @@ def cmd_attack_eval(args: argparse.Namespace) -> int:
     plan_rng = stream(args.seed, 1)
     indices = select_test_set(attack.n_pairs, args.m, plan_rng)
     plan = TestPlan(indices, random_axes(args.m, plan_rng), args.accept_lo, args.accept_hi)
-    holevo = holevo_on_pass(attack, plan)
+    holevo = eve_info_bound(attack, plan)
     payload = {
         "n_pairs": attack.n_pairs,
         "ancilla_dim": attack.ancilla_dim,
@@ -432,6 +429,3 @@ def main(argv=None) -> int:
         print(f"regime error: {exc}", file=sys.stderr)
         return 3
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bounds import secrecy_lower_bound
+from .bounds import DEFAULT_KPRIME, secrecy_lower_bound
 from .rng import stream
 
 MAX_PASSES = 64  # upper limit on reconciliation passes
@@ -149,7 +149,8 @@ def privacy_amplify(key_bits, output_length: int, hash_seed: int) -> np.ndarray:
     return (rounded.astype(np.int64) & 1).astype(np.uint8)
 
 
-def final_key_length(n_raw: int, eps: float, leaked_bits: int, kprime: float = 10.0) -> int:
+def final_key_length(n_raw: int, eps: float, leaked_bits: int,
+                     kprime: float = DEFAULT_KPRIME) -> int:
     """Distillable length of an n_raw-bit key at error rate eps.
 
     Applies the secrecy-rate lower bound and subtracts reconciliation
@@ -202,7 +203,7 @@ def distill_key(
     key_b,
     qber_estimate: float,
     rng: np.random.Generator,
-    kprime: float = 10.0,
+    kprime: float = DEFAULT_KPRIME,
 ) -> DistillationResult:
     """Reconcile, measure leakage, and draw the seed of the privacy-amplification hash.
 

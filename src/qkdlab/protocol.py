@@ -53,7 +53,7 @@ from .adversary import (
     InterceptResend,
     SubstituteAttack,
     TestPlan,
-    holevo_on_pass,
+    eve_info_bound,
     substitute_pairs,
 )
 from .channel import ChannelModel
@@ -73,7 +73,7 @@ class SessionConfig:
     expected_error: float
     window_coeff: float = 1.0
     omega: float = 0.5
-    threshold_mode: str | None = None  # None: two_epsilon if expected_error > 0, else window
+    threshold_mode: str = "two_epsilon"
 
     def __post_init__(self) -> None:
         if self.n_pairs < 1:
@@ -86,9 +86,6 @@ class SessionConfig:
             )
         if not 0.0 <= self.expected_error < 1.0:
             raise ConfigError(f"expected_error {self.expected_error} outside [0, 1)")
-        if self.threshold_mode is None:
-            object.__setattr__(self, "threshold_mode",
-                               "two_epsilon" if self.expected_error > 0.0 else "window")
         if not 0.0 < self.window_coeff < math.inf:
             raise ConfigError(
                 f"window_coeff must be positive and finite, got {self.window_coeff}"
@@ -104,8 +101,8 @@ def accepted_count_interval(config: SessionConfig, m: int) -> tuple[int, int]:
 
     ``window`` mode accepts the counts in [(eps - c eps^2) m,
     (eps + c eps^2) m], clamped to [0, m] and rounded inward (ceil below,
-    floor above); ``two_epsilon`` mode accepts the counts 0..m below
-    2 eps m.  An interval that rounds empty is a configuration error.
+    floor above), and is a configuration error if that rounds empty;
+    ``two_epsilon`` mode accepts the counts 0..m below 2 eps m, and 0 always.
     """
     eps, c = config.expected_error, config.window_coeff
     if config.threshold_mode == "window":
@@ -114,12 +111,7 @@ def accepted_count_interval(config: SessionConfig, m: int) -> tuple[int, int]:
         if hi < lo:
             raise ConfigError(f"acceptance window for eps={eps}, c={c}, m={m} rounds empty")
         return lo, hi
-    hi = math.ceil(2.0 * eps * m - 1e-9) - 1
-    if hi < 0:
-        raise ConfigError(
-            "threshold 2*eps rounds to zero tolerated errors; use window mode"
-        )
-    return 0, min(hi, m)
+    return 0, min(max(0, math.ceil(2.0 * eps * m - 1e-9) - 1), m)
 
 
 def select_test_set(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -318,7 +310,7 @@ def run_epr_session(
     eve_holevo = None
     if coherent:
         lo, hi = accepted_count_interval(config, m)
-        eve_holevo = holevo_on_pass(attack, TestPlan(test_idx, axes[test_idx], lo, hi))
+        eve_holevo = eve_info_bound(attack, TestPlan(test_idx, axes[test_idx], lo, hi))
     return _conclude(config, outcome_a, outcome_b, 1 - outcome_b, in_test,
                      np.ones(n, dtype=bool), eve_holevo_bits=eve_holevo, _draw_axes=draw_axes)
 

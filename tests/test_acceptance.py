@@ -23,7 +23,6 @@ from qkdlab.adversary import (
     TestPlan,
     axis_averaged_passing_probability,
     conditional_ancilla_state,
-    eve_info_bound,
     error_count_distribution,
 )
 from qkdlab.bounds import (
@@ -36,7 +35,7 @@ from qkdlab.channel import ChannelModel, sample_common_axis_outcomes
 from qkdlab.cli import main, simulate_trial
 from qkdlab.postprocess import final_key_length
 from qkdlab.protocol import SessionConfig, run_bb84_session, run_epr_session
-from qkdlab.qstate import AXIS_X, AXIS_Z, random_axes
+from qkdlab.qstate import AXIS_X, AXIS_Z, random_axes, von_neumann_entropy
 from qkdlab.rng import stream
 from physics import cloning_report, random_signal_pair, random_unitary, signal_preserving_unitary
 from reference import spin_projectors
@@ -170,7 +169,7 @@ def test_c05_perfect_passing_isolates_all_singlet():
             p = error_count_distribution(singlets, plan)[0]
             assert p == pytest.approx(1.0, abs=1e-12)
             rho = conditional_ancilla_state(singlets, plan)
-            assert eve_info_bound(rho) <= 1e-9
+            assert von_neumann_entropy(rho) <= 1e-9
             perfect_cases += 1
 
         # a trace of any other component already breaks certainty

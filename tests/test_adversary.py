@@ -18,7 +18,6 @@ from qkdlab.adversary import (
     conditional_ancilla_state,
     error_count_distribution,
     eve_info_bound,
-    holevo_on_pass,
     substitute_pairs,
     typicality_split,
 )
@@ -510,7 +509,7 @@ class TestConditionalAncilla:
         t[0, 0, 1] = 0.8
         atk = CoherentAttack(t)
         rho = conditional_ancilla_state(atk, TestPlan((0, 1), random_axes(2, rng), 0, 0))
-        assert eve_info_bound(rho) == pytest.approx(0.0, abs=1e-9)
+        assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-9)
 
     def test_orthogonal_markers_give_one_bit(self):
         # equally weighted passing components with orthogonal markers
@@ -520,7 +519,8 @@ class TestConditionalAncilla:
         plan = TestPlan((0, 1), np.array([Z, Z]), 0, 0)  # psi1 passes a z test
         rho = conditional_ancilla_state(atk, plan)
         assert np.allclose(rho.matrix, np.eye(2) / 2, atol=1e-9)
-        assert eve_info_bound(rho) == pytest.approx(1.0, abs=1e-9)
+        assert von_neumann_entropy(rho) == pytest.approx(1.0, abs=1e-9)
+        assert eve_info_bound(atk, plan) == pytest.approx(1.0, abs=1e-9)
 
     def test_unit_trace(self):
         rng = stream(415)
@@ -581,12 +581,12 @@ class TestConditionalAncilla:
         with pytest.raises(ValueError):
             conditional_ancilla_state(atk, plan)
 
-    def test_holevo_on_pass_is_none_only_for_an_unpassable_plan(self):
+    def test_eve_info_bound_is_none_only_for_an_unpassable_plan(self):
         # psi2 is parallel along z with certainty: the window (0, 0) never passes
         unpassable = TestPlan((0,), np.array([Z]), 0, 0)
         with pytest.raises(RegimeError):
             conditional_ancilla_state(bell_product_attack((2,)), unpassable)
-        assert holevo_on_pass(bell_product_attack((2,)), unpassable) is None
+        assert eve_info_bound(bell_product_attack((2,)), unpassable) is None
         # a malformed plan is an error, not a plan that cannot pass
         atk = bell_product_attack((0, 0))
         axes = random_axes(2, stream(427))
@@ -594,7 +594,7 @@ class TestConditionalAncilla:
                             (TestPlan((0, 1), np.zeros((2, 3)), 0, 0), ValueError),
                             (TestPlan((0, 1), np.full((2, 3), np.nan), 0, 0), ValueError)):
             with pytest.raises(error):
-                holevo_on_pass(atk, plan)
+                eve_info_bound(atk, plan)
 
 
 class TestTypicalitySplit:
@@ -665,7 +665,7 @@ class TestEveInfoDominance:
                 rho = conditional_ancilla_state(atk, plan)
             except ValueError:
                 continue  # nothing passes; no conditional state to bound
-            assert eve_info_bound(rho) <= upper + 1e-9
+            assert von_neumann_entropy(rho) <= upper + 1e-9
 
 
 class TestCloningVerifier:

@@ -55,10 +55,21 @@ class TestExitCodes:
         assert out.startswith(",".join(CSV_COLUMNS))
 
     def test_bare_simulate(self, capsys):
-        # a noiseless channel defaults to window mode: two_epsilon tolerates nothing
         code, out, err = run_cli(["simulate"], capsys)
         assert code == 0, err
         assert out.startswith(",".join(CSV_COLUMNS))
+
+    def test_noiseless_rules_agree(self, tmp_path, capsys):
+        """At eps = 0 both test rules accept only the zero-error test, so the
+        bare command and either explicit rule write the same CSV."""
+        csvs = []
+        for flags in ([], ["--epsilon", "0", "--threshold-mode", "two_epsilon"],
+                      ["--epsilon", "0", "--threshold-mode", "window"]):
+            out = tmp_path / f"runs{len(csvs)}.csv"
+            assert run_cli(["simulate", "--trials", "3", "--out", str(out), *flags],
+                           capsys)[0] == 0
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1] == csvs[2]
 
     def test_bad_epsilon_is_config_error(self, capsys):
         code, _, err = run_cli(
@@ -753,6 +764,34 @@ class TestBounds:
         assert "config error: N must be positive" in err
         assert not grid.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--n", "200000", "--epsilon", "0.02"],
+        ["--grid-n", "100,200000", "--grid-eps", "0.02", "--out", "GRID"],
+    ], ids=["point", "grid"])
+    def test_past_the_feasible_limit_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                                     argv):
+        """A point whose exact count would pass MAX_CHAIN_WORK exits 2 before
+        counting; a grid holding one writes nothing."""
+        counted, count = [], bounds.atypical_counts
+        monkeypatch.setattr(bounds, "atypical_counts",
+                            lambda *args: counted.append(args) or count(*args))
+        grid = tmp_path / "grid.csv"
+        code, out, err = run_cli(["bounds", *(str(grid) if a == "GRID" else a for a in argv)],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert err == ("config error: N=200000, eps=0.02 is past the feasible limit of the "
+                       "exact count: 3.49e+09 > 1e+09 steps times bits\n")
+        assert all(n < 200000 for n, _ in counted) and not grid.exists()
+
+    @pytest.mark.parametrize("n, eps", [(100000, 0.02), (7254, 0.1), (100, 0.01),
+                                        (2000, 0.05), (2000, 0.0502)])
+    def test_documented_points_are_feasible(self, monkeypatch, n, eps):
+        """The README's points, CI's and the benchmark's largest reach the count."""
+        counted = []
+        monkeypatch.setattr(bounds, "atypical_counts", lambda *args: counted.append(args) or (1, 1))
+        bounds.atypical_dim_chain(n, eps)
+        assert counted == [(n, bounds.atypical_threshold(n, eps))]
+
     def test_single_point_counts_the_atypical_subspace_once(self, monkeypatch, capsys):
         """The chain's report is the one producer of the exact atypical count."""
         calls, count = [], bounds.atypical_counts
@@ -955,17 +994,25 @@ class TestBenchmarkBindings:
         assert (code, len(calls)) == (0, 4 * 3)
 
     def test_holevo_value_goes_through_adversary_globals(self, tmp_path, monkeypatch, capsys):
-        """The benchmark traces the conditional state and its Holevo bound where
-        adversary looks them up, for a coherent session and for attack-eval."""
+        """The benchmark traces the conditional state and its Holevo bound by
+        rebinding every qkdlab module attribute that holds them; a coherent
+        session and attack-eval both reach them through such a binding."""
         import qkdlab.adversary
 
         calls = {"conditional_ancilla_state": 0, "eve_info_bound": 0}
+        modules = [m for name, m in list(sys.modules.items())
+                   if m is not None and (name == "qkdlab" or name.startswith("qkdlab."))]
         for name in calls:
-            def counting(*args, _name=name, _fn=getattr(qkdlab.adversary, name), **kwargs):
+            original = getattr(qkdlab.adversary, name)
+
+            def counting(*args, _name=name, _fn=original, **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
 
-            monkeypatch.setattr(f"qkdlab.adversary.{name}", counting)
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
         atk = write_attack_file(tmp_path / "atk.txt", 4)
         for argv in (
             ["simulate", "--n", "4", "--m", "2", "--epsilon", "0.2", "--attack", "coherent",

@@ -64,19 +64,17 @@ class TestAcceptanceWindow:
         cfg_w = SessionConfig(10000, 10000, 0.02, threshold_mode="window")
         assert accepted_count_interval(cfg_w, 10000) == (196, 204)
 
-    def test_two_epsilon_rejects_zero_rate(self):
+    def test_two_epsilon_at_zero_rate_accepts_only_zero_errors(self):
+        """At eps = 0 no count lies below 2 eps m; the rule's floor accepts 0, as
+        the window does there."""
         cfg = SessionConfig(1000, 100, 0.0, threshold_mode="two_epsilon")
-        with pytest.raises(ConfigError, match=r"threshold 2\*eps rounds to zero tolerated "
-                                              r"errors; use window mode"):
-            accepted_count_interval(cfg, 100)
-
-    def test_default_rule_follows_the_error_rate(self):
-        """Without a threshold_mode, a positive rate tests at two_epsilon and a
-        zero rate at the window, whose interval exists."""
-        assert SessionConfig(1000, 100, 0.02).threshold_mode == "two_epsilon"
-        cfg = SessionConfig(1000, 100, 0.0)
-        assert cfg.threshold_mode == "window"
         assert accepted_count_interval(cfg, 100) == (0, 0)
+        assert accepted_count_interval(window(0.0), 100) == (0, 0)
+
+    def test_default_rule_is_two_epsilon(self):
+        """The default test rule does not depend on the error rate."""
+        for eps in (0.0, 0.02):
+            assert SessionConfig(1000, 100, eps).threshold_mode == "two_epsilon"
 
     @settings(max_examples=300)
     @given(st.floats(0.0, 0.99), st.floats(0.01, 100.0), st.integers(1, 2000),
@@ -89,7 +87,7 @@ class TestAcceptanceWindow:
             accepted = k[(k <= m) & ((eps - c * eps * eps) * m - 1e-9 <= k)
                          & (k <= (eps + c * eps * eps) * m + 1e-9)].tolist()
         else:
-            accepted = k[(k <= m) & (k < 2.0 * eps * m - 1e-9)].tolist()
+            accepted = k[(k == 0) | ((k <= m) & (k < 2.0 * eps * m - 1e-9))].tolist()
         if not accepted:
             with pytest.raises(ConfigError):
                 accepted_count_interval(cfg, m)
